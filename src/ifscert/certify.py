@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from .continua import NeedleModel, PModel, needle_offset
 from .geometry import ContinuumModel, PointCloud, Polyline, polyline_length, sample_polyline
 from .ifs import IfsSpec, MapSpec, classify_contraction, eval_map, hutchinson
-from .metric import ChainMetricProfile, chain_profile, hausdorff
+from .metric import chain_profiles, hausdorff
 
 VERDICT_CERTIFIED = "certified"
 VERDICT_REFUTED = "refuted"
@@ -243,7 +243,7 @@ def needle_dichotomy_check(
     hp = model.marked["h(p)"]
     fhp = eval_map(f, hp[None, :])[0]
     if float(np.linalg.norm(fhp - hp)) <= delta:
-        return _dichotomy_fixed_tip(f, needle, hp, eps0, k_max, delta, lam, claim, params)
+        return _dichotomy_fixed_tip(f, needle, hp, eps0, k_max, delta, lam, claim, params, cloud)
     return _dichotomy_moved_tip(f, needle, hp, eps0, k_max, delta, lam, claim, params, cloud)
 
 
@@ -252,9 +252,8 @@ def _snap_to_cloud(cloud: PointCloud, pt: np.ndarray) -> np.ndarray:
     return cloud.points[idx]
 
 
-def _dichotomy_fixed_tip(f, needle, hp, eps0, k_max, delta, lam, claim, params):
+def _dichotomy_fixed_tip(f, needle, hp, eps0, k_max, delta, lam, claim, params, cloud):
     model = needle.image
-    cloud = model.refine(delta)
     far = model.marked.get("far")
     fx_far = eval_map(f, far[None, :])[0] if far is not None else None
     if fx_far is not None and np.linalg.norm(fx_far - hp) > 2 * delta:
@@ -276,7 +275,7 @@ def _dichotomy_fixed_tip(f, needle, hp, eps0, k_max, delta, lam, claim, params):
             )
         x = cloud.points[best]
     fx = _snap_to_cloud(cloud, eval_map(f, x[None, :])[0])
-    step = chain_profile(model, x, fx, eps0, k_max)
+    step, divergent = chain_profiles(model, [(x, fx), (x, hp)], eps0, k_max)
     params["step_verdict"] = step.verdict
     if step.verdict != "converges":
         return Certificate(
@@ -284,7 +283,6 @@ def _dichotomy_fixed_tip(f, needle, hp, eps0, k_max, delta, lam, claim, params):
             ("the one-step chain between x and f(x) did not settle",),
         )
     series_bound = step.limit / (1.0 - lam)
-    divergent = chain_profile(model, x, hp, eps0, k_max)
     params["series_bound"] = series_bound
     params["divergent_verdict"] = divergent.verdict
     params["divergent_value"] = float(divergent.values[-1])
@@ -333,14 +331,13 @@ def _dichotomy_moved_tip(f, needle, hp, eps0, k_max, delta, lam, claim, params, 
     x = cloud.points[src]
     y = cloud.points[far_idx]
     fy = _snap_to_cloud(cloud, images[far_idx])
-    convergent = chain_profile(model, x, y, eps0, k_max)
+    convergent, divergent = chain_profiles(model, [(x, y), (hp, fy)], eps0, k_max)
     params["source_verdict"] = convergent.verdict
     if convergent.verdict != "converges":
         return Certificate(
             claim, VERDICT_INCONCLUSIVE, 0.0, (), params,
             ("the source chain did not settle",),
         )
-    divergent = chain_profile(model, hp, fy, eps0, k_max)
     params["image_verdict"] = divergent.verdict
     params["image_value"] = float(divergent.values[-1])
     if divergent.verdict != "diverges":

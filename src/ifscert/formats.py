@@ -88,6 +88,17 @@ def save_model(model: ContinuumModel | PointCloud, path: str) -> None:
     atomic_write(path, model_text(model))
 
 
+def _number(text: str, where: str, kind=float, least=None):
+    """``kind(text)``, or a ``ValueError`` that names the file and line."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"{where}: {text!r} is not a valid {kind.__name__}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{where}: {text!r} is below {least}")
+    return value
+
+
 def _parse_vertices(lines, start: int, count: int, dim: int, path: str):
     rows = np.empty((count, dim))
     for j in range(count):
@@ -97,7 +108,10 @@ def _parse_vertices(lines, start: int, count: int, dim: int, path: str):
         parts = lines[idx].split()
         if len(parts) != dim:
             raise ValueError(f"{path}:{idx + 1}: expected {dim} coordinates")
-        rows[j] = [float(p) for p in parts]
+        try:
+            rows[j] = [float(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"{path}:{idx + 1}: bad coordinate in {lines[idx]!r}") from None
     return rows
 
 
@@ -123,17 +137,22 @@ def load_model(path: str) -> ContinuumModel | PointCloud:
             continue
         parts = line.split(None, 2)
         tag = parts[0]
+        where = f"{path}:{i + 1}"
         if tag == "dim":
-            dim = int(parts[1])
+            if len(parts) < 2:
+                raise ValueError(f"{where}: dim needs a value")
+            dim = _number(parts[1], where, int, least=1)
         elif tag == "meta":
             if len(parts) < 3:
-                raise ValueError(f"{path}:{i + 1}: meta needs a key and a value")
+                raise ValueError(f"{where}: meta needs a key and a value")
             meta[parts[1]] = parts[2]
         elif tag in ("polyline", "points"):
             if dim is None:
-                raise ValueError(f"{path}:{i + 1}: dim header must come first")
+                raise ValueError(f"{where}: dim header must come first")
+            if len(parts) < 3:
+                raise ValueError(f"{where}: {tag} needs a name and a count")
             name, rest = parts[1], parts[2].split()
-            count = int(rest[0])
+            count = _number(rest[0], where, int, least=0)
             closed = len(rest) > 1 and rest[1] == "closed"
             rows = _parse_vertices(lines, i + 1, count, dim, path)
             if tag == "polyline":
@@ -142,19 +161,19 @@ def load_model(path: str) -> ContinuumModel | PointCloud:
                 point_blocks.append(rows)
             i += count
         elif tag == "marked":
-            coords = parts[2].split()
+            coords = parts[2].split() if len(parts) == 3 else []
             if dim is None or len(coords) != dim:
-                raise ValueError(f"{path}:{i + 1}: marked point needs {dim} coordinates")
-            marked[parts[1]] = np.array([float(c) for c in coords])
+                raise ValueError(f"{where}: marked point needs {dim} coordinates")
+            marked[parts[1]] = np.array([_number(c, where) for c in coords])
         else:
-            raise ValueError(f"{path}:{i + 1}: unknown record {tag!r}")
+            raise ValueError(f"{where}: unknown record {tag!r}")
         i += 1
     if dim is None:
         raise ValueError(f"{path}: missing dim header")
     if point_blocks and pieces:
         raise ValueError(f"{path}: mixed polyline and points sections are not supported")
     if point_blocks:
-        pitch = float(meta.get("pitch", "0")) or None
+        pitch = _number(meta.get("pitch", "0"), f"{path}: meta pitch") or None
         if pitch is None:
             raise ValueError(f"{path}: point files need a 'meta pitch' record")
         return PointCloud(np.vstack(point_blocks), pitch)
@@ -213,7 +232,7 @@ def save_ifs(ifs: IfsSpec, path: str) -> None:
     atomic_write(path, ifs_text(ifs))
 
 
-def _pop_map_flags(tokens: list[str]):
+def _pop_map_flags(tokens: list[str], where: str):
     lip = None
     attested = False
     while tokens and (tokens[-1].startswith("lip=") or tokens[-1] == "attested"):
@@ -221,19 +240,21 @@ def _pop_map_flags(tokens: list[str]):
         if tok == "attested":
             attested = True
         else:
-            lip = float(tok[4:])
+            lip = _number(tok[4:], where)
     return lip, attested
 
 
 def _parse_map_tokens(tokens: list[str], dim: int, where: str) -> MapSpec:
-    lip, attested = _pop_map_flags(tokens)
+    lip, attested = _pop_map_flags(tokens, where)
+    if not tokens:
+        raise ValueError(f"{where}: flags without a map")
     kw = {"lip_bound": lip, "weak_attested": attested}
     head, args = tokens[0], tokens[1:]
     if head == "affine":
         need = dim * dim + dim
         if len(args) != need:
             raise ValueError(f"{where}: affine needs {need} numbers in dimension {dim}")
-        vals = [float(a) for a in args]
+        vals = [_number(a, where) for a in args]
         matrix = np.array(vals[: dim * dim]).reshape(dim, dim)
         spec = MapSpec(KIND_AFFINE, dim, matrix=matrix, offset=np.array(vals[dim * dim:]), **kw)
         if spec.lip_bound is None:
@@ -242,7 +263,7 @@ def _parse_map_tokens(tokens: list[str], dim: int, where: str) -> MapSpec:
     if head == "needle_h1":
         if len(args) != 1:
             raise ValueError(f"{where}: needle_h1 takes exactly one sharpness value")
-        spec = squeeze_map(float(args[0]), dimension=dim)
+        spec = squeeze_map(_number(args[0], where), dimension=dim)
         if lip is not None or attested:
             spec = replace(spec, lip_bound=lip if lip is not None else spec.lip_bound,
                            weak_attested=attested)
@@ -258,9 +279,13 @@ def _parse_map_tokens(tokens: list[str], dim: int, where: str) -> MapSpec:
         if not args:
             raise ValueError(f"{where}: closed_form needs a form name")
         form, params = args[0], args[1:]
-        if len(params) != closed_form_arity(form):
-            raise ValueError(f"{where}: {form} takes {closed_form_arity(form)} parameters")
-        return closed_form_map(form, [float(p) for p in params], dimension=dim, **kw)
+        try:
+            arity = closed_form_arity(form)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if len(params) != arity:
+            raise ValueError(f"{where}: {form} takes {arity} parameters")
+        return closed_form_map(form, [_number(p, where) for p in params], dimension=dim, **kw)
     raise ValueError(f"{where}: unknown map {head!r}")
 
 
@@ -277,8 +302,10 @@ def load_ifs(path: str) -> IfsSpec:
             continue
         tokens = line.split()
         where = f"{path}:{i + 1}"
+        if tokens[0] in ("dim", "mode") and len(tokens) < 2:
+            raise ValueError(f"{where}: {tokens[0]} needs a value")
         if tokens[0] == "dim":
-            dim = int(tokens[1])
+            dim = _number(tokens[1], where, int, least=1)
         elif tokens[0] == "mode":
             if tokens[1] not in ("strict", "weak"):
                 raise ValueError(f"{where}: mode must be strict or weak")
@@ -292,7 +319,7 @@ def load_ifs(path: str) -> IfsSpec:
                 raise ValueError(f"{where}: end without begin")
             if not block:
                 raise ValueError(f"{where}: empty composition")
-            lip, attested = _pop_map_flags(tokens)
+            lip, attested = _pop_map_flags(tokens, where)
             spec = composed_map(*block, lip_bound=lip)
             if attested:
                 spec = replace(spec, weak_attested=True)

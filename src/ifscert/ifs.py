@@ -107,6 +107,8 @@ _CLOSED_FORMS = {
 
 
 def closed_form_arity(form: str) -> int:
+    if form not in _CLOSED_FORMS:
+        raise ValueError(f"unknown closed form {form!r}")
     return _CLOSED_FORMS[form][0]
 
 

@@ -175,3 +175,42 @@ def test_quiet_silences_informational_output(tmp_path, capsys):
     assert rc == 0
     assert out.startswith("verdict=")
     assert "wrote" not in out
+
+
+MALFORMED_INPUTS = {
+    "nodim.model": "dim\npolyline a 2\n0 0\n1 0\n",
+    "nocount.model": "dim 2\npolyline a\n0 0\n1 0\n",
+    "nomode.ifs": "dim 2\nmode\naffine 0.5 0 0 0.5 0 0\n",
+    "nope.ifs": "dim 2\nclosed_form nope 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_files_exit_2_with_their_line(tmp_path, capsys, name):
+    bad = tmp_path / name
+    bad.write_text(MALFORMED_INPUTS[name])
+    model = tmp_path / "l1.model"
+    assert run("build", "zigzag", "--n", "1", "--out", str(model), "--quiet") == 0
+    if name.endswith(".ifs"):
+        rc = run("certify", "fixed-set", "--ifs", str(bad), "--model", str(model))
+    else:
+        rc = run("chain", str(bad), "a", "b")
+    err = capsys.readouterr().err
+    assert rc == 2
+    line = 2 if name != "nodim.model" else 1
+    assert err.startswith(f"error: {bad}:{line}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eps0", "nan"), ("--eps0", "inf"), ("--pitch-ratio", "nan"), ("--pitch-ratio", "inf"),
+])
+def test_chain_rejects_non_finite_schedule_flags(tmp_path, capfd, flag, value):
+    model = str(tmp_path / "l1.model")
+    assert run("build", "zigzag", "--n", "1", "--out", model, "--quiet") == 0
+    rc = run("chain", model, "p0", "p1", "--kmax", "2", flag, value)
+    out, err = capfd.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag.lstrip("-").replace("-", "_") in err

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import ifscert.geometry
 from ifscert.geometry import (
     ContinuumModel,
     GraphCurve,
     PointCloud,
     Polyline,
     _ALLPAIRS_MAX_SEGMENTS,
+    _cross_mask_2d,
     _intersects_allpairs,
     _intersects_sap,
+    _segment_distance_batch,
+    _segment_pairs,
     polar_to_cartesian,
     polyline_length,
     sample_graph_curve,
@@ -170,6 +174,64 @@ def test_near_miss_past_the_allpairs_limit_is_found():
     assert len(line.vertices) - 1 > _ALLPAIRS_MAX_SEGMENTS
     assert self_intersects(line, tol=tol) == (True, (0, 4))
     assert self_intersects(line, tol=0.5 * tol) == (False, None)
+
+
+def test_disjoint_collinear_segments_are_not_a_crossing():
+    # four points of one line: segments 0 and 2 lie 5.1 apart, but the
+    # orientation signs of that pair are rounding noise of mixed sign
+    verts = np.array([
+        [6.696394818845069, 0.02226880233960893],
+        [3.559673869784609, 2.1215233597731444],
+        [-0.7093210850388556, 4.978553761938254],
+        [-3.997462866242608, 7.179146907384343],
+    ])
+    line = Polyline(verts)
+    starts, ends = line.segments()
+    assert not _cross_mask_2d(starts[:1], ends[:1], starts[2:], ends[2:])[0]
+    assert self_intersects(line, tol=0.0) == (False, None)
+
+
+def _allpairs_reference(P, Q, closed, tol):
+    """The all-pairs test over ``np.triu_indices`` in one block."""
+    n = len(P)
+    ii, jj = np.triu_indices(n, k=2)
+    if closed and n > 2:
+        keep = ~((ii == 0) & (jj == n - 1))
+        ii, jj = ii[keep], jj[keep]
+    hit = _segment_distance_batch(P[ii], Q[ii], P[jj], Q[jj]) <= tol
+    if P.shape[1] == 2:
+        hit |= _cross_mask_2d(P[ii], Q[ii], P[jj], Q[jj])
+    if not hit.any():
+        return False, None
+    k = int(np.argmax(hit))
+    return True, (int(ii[k]), int(jj[k]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("closed", [False, True])
+def test_allpairs_row_blocks_match_triu_reference(monkeypatch, closed, dim):
+    monkeypatch.setattr(ifscert.geometry, "_PAIR_CHUNK", 7)
+    for n in (3, 4, 5, 9, 23):
+        ii, jj = np.triu_indices(n, k=2)
+        if closed:
+            keep = ~((ii == 0) & (jj == n - 1))
+            ii, jj = ii[keep], jj[keep]
+        blocks = list(_segment_pairs(n, closed))
+        assert len(blocks) > 1 or len(ii) <= 7
+        assert all(len(i) <= 7 or len(set(i)) == 1 for i, _ in blocks)  # a longer row is one block
+        assert np.array_equal(np.concatenate([i for i, _ in blocks]), ii)
+        assert np.array_equal(np.concatenate([j for _, j in blocks]), jj)
+    rng = np.random.default_rng(20261018 + dim + 2 * closed)
+    hits = 0
+    for case in range(30):
+        steps = rng.normal(size=(int(rng.integers(4, 26)), dim))
+        line = Polyline(np.cumsum(steps, axis=0), closed=closed)
+        starts, ends = line.segments()
+        for tol in (0.0, 0.3):
+            got = _intersects_allpairs(starts, ends, closed, tol)
+            assert got == _allpairs_reference(starts, ends, closed, tol), f"case {case} tol {tol}"
+            hits += got[0]
+    assert 0 < hits < 60
 
 
 def test_sweep_handles_large_polygon_and_planted_crossing():

@@ -1,11 +1,16 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from ifscert.continua import build_needle
 from ifscert.geometry import ContinuumModel, PointCloud, Polyline, sample_polyline
 from ifscert.metric import (
     chain_distance,
     chain_distance_on_graph,
     chain_profile,
+    chain_profiles,
     eps_graph,
     hausdorff,
     monotonicity_check,
@@ -36,6 +41,39 @@ def test_eps_graph_hops_strictly_below_epsilon():
     graph = eps_graph(cloud, 1.0 + 1e-9)
     assert [tuple(e) for e in graph.edges] == [(0, 1)]
     assert graph.weights[0] == pytest.approx(1.0)
+
+
+def _graph_oracle(points, epsilon):
+    """Every pair i < j whose exact distance is below ``epsilon``, with its length."""
+    eps2 = Fraction(epsilon) ** 2
+    edges = {}
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d2 = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(points[i], points[j]))
+            if d2 < eps2:
+                edges[(i, j)] = math.dist(points[i], points[j])
+    return edges
+
+
+@pytest.mark.filterwarnings("ignore:epsilon")
+def test_eps_graph_matches_all_pairs_oracle():
+    rng = np.random.default_rng(20261018)
+    grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
+    clouds = [
+        # lattice: hops of exactly 1 and 2 are left out, diagonals kept or not
+        (grid, 1.0), (grid, 2.0), (grid, 1.5), (grid * 0.25, 0.25),
+        # random clouds with a duplicate point (a zero-length hop)
+        *[(np.vstack([p, p[:1]]), eps) for p, eps in
+          ((rng.uniform(size=(150, 2)), 0.12), (rng.uniform(size=(120, 3)), 0.3))],
+    ]
+    for points, epsilon in clouds:
+        graph = eps_graph(PointCloud(points, 0.01), epsilon)
+        got = {(int(i), int(j)): w for (i, j), w in zip(graph.edges, graph.weights)}
+        want = _graph_oracle(points, epsilon)
+        assert len(got) == len(graph.edges)
+        assert got.keys() == want.keys()
+        for key, w in want.items():
+            assert got[key] == pytest.approx(w, rel=1e-15, abs=0.0), key
 
 
 def test_eps_graph_warns_when_epsilon_hits_the_pitch():
@@ -110,6 +148,54 @@ def test_chain_profile_on_segment_converges_to_length():
 def test_chain_profile_resolves_coordinates_too():
     profile = chain_profile(_segment_model(), [0.0, 0.0], [1.0, 0.0], 0.02, 2)
     assert profile.verdict == "converges"
+
+
+def _marked_path_model() -> ContinuumModel:
+    line = Polyline(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.3, 1.2]]))
+    marks = {"a": [0.0, 0.0], "b": [1.0, 0.0], "c": [1.0, 0.6], "d": [0.3, 1.2]}
+    return ContinuumModel((line,), {k: np.array(v) for k, v in marks.items()}, 2)
+
+
+@pytest.mark.parametrize("pairs", [
+    [("a", "d"), ("a", "c"), ("a", "a")],        # one shared source
+    [("a", "b"), ("c", "d"), ("d", "c"), ("b", "b")],  # distinct sources
+])
+def test_chain_profiles_equal_separate_profiles(pairs):
+    model = _marked_path_model()
+    together = chain_profiles(model, pairs, 0.05, 4, pitch_ratio=8.0)
+    assert len(together) == len(pairs)
+    for (x, y), got in zip(pairs, together):
+        alone = chain_profile(model, x, y, 0.05, 4, pitch_ratio=8.0)
+        assert np.array_equal(got.values, alone.values)
+        assert np.array_equal(got.epsilons, alone.epsilons)
+        assert np.array_equal(got.pitches, alone.pitches)
+        assert (got.verdict, got.slope, got.limit, got.note) == (
+            alone.verdict, alone.slope, alone.limit, alone.note)
+
+
+# criterion 2's profile, far end to attachment point, as the parent of the
+# shared-graph rewrite computed it
+_CRITERION_2_VALUES = [
+    "0x1.eaf20a213e079p+0", "0x1.278801030e6ebp+1", "0x1.6f79a1bd18021p+1",
+    "0x1.c80d94340e34bp+1", "0x1.17ed53c7bad85p+2", "0x1.56ab0bfb7ccbep+2",
+    "0x1.a1c63cd229b1ep+2", "0x1.fbb92d3b3da15p+2", "0x1.3373f899b6a9bp+3",
+]
+
+
+def test_needle_profile_values_are_pinned_bit_for_bit():
+    profile = chain_profile(build_needle().image, "far", "h(p)", eps0=0.1, k_max=8)
+    assert [float(v).hex() for v in profile.values] == _CRITERION_2_VALUES
+    assert profile.verdict == "diverges"
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eps0": math.nan}, {"eps0": math.inf}, {"eps0": 0.0},
+    {"pitch_ratio": math.nan}, {"pitch_ratio": math.inf}, {"pitch_ratio": 2.0},
+])
+def test_chain_profiles_reject_bad_schedules(kwargs):
+    args = {"eps0": 0.02, "k_max": 2, "pitch_ratio": 10.0, **kwargs}
+    with pytest.raises(ValueError, match="eps0|pitch_ratio"):
+        chain_profiles(_segment_model(), [("a", "b")], **args)
 
 
 def test_chain_profile_disconnected_is_inconclusive():
