@@ -97,16 +97,9 @@ def fixed_set_check(ifs: IfsSpec, model: ContinuumModel, delta: float) -> Certif
     """
     cloud = model.refine(delta)
     image = hutchinson(ifs, cloud)
-    gap = hausdorff(image, cloud)
+    gap, on_image, far = hausdorff(image, cloud, witness=True)
     threshold = _RESOLUTION_PITCHES * delta
-    d_img = cKDTree(cloud.points).query(image.points, k=1)[0]
-    d_cld = cKDTree(image.points).query(cloud.points, k=1)[0]
-    if d_img.max() >= d_cld.max():
-        far = image.points[int(np.argmax(d_img))]
-        side = "image-point-off-model"
-    else:
-        far = cloud.points[int(np.argmax(d_cld))]
-        side = "model-point-off-image"
+    side = "image-point-off-model" if on_image else "model-point-off-image"
     params = {"delta": delta, "hausdorff": gap, "threshold": threshold}
     if gap > threshold:
         return Certificate(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 
 import numpy as np
@@ -30,6 +31,17 @@ _VERDICT_EXIT = {
     "inconclusive": EXIT_INCONCLUSIVE,
     "refuted": EXIT_ERROR,
 }
+
+
+# flags (by argparse dest) that must be finite and positive wherever they occur
+_POSITIVE_FLAGS = ("delta", "tol", "eps0", "pitch_ratio")
+
+
+def _check_numeric_flags(args) -> None:
+    for dest in _POSITIVE_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(f"{dest} must be finite and positive (--{dest.replace('_', '-')} {value})")
 
 
 def _parse_point(text: str) -> str | np.ndarray:
@@ -105,6 +117,8 @@ def _seed_cloud_from_box(box_text: str, dim: int, pitch: float) -> PointCloud:
     vals = [float(v) for v in box_text.split(",")]
     if len(vals) != 2 * dim:
         raise ValueError(f"--box needs {2 * dim} comma-separated numbers for dimension {dim}")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"--box needs finite numbers, not {box_text}")
     lo = np.array(vals[:dim])
     hi = np.array(vals[dim:])
     if np.any(hi < lo):
@@ -257,6 +271,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
+        _check_numeric_flags(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

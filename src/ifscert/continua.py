@@ -236,7 +236,7 @@ def _mapped_base_cloud(base: ContinuumModel, sharpness: float, delta: float) -> 
                 if b > lo:
                     cuts.append(b)
                 b *= 2
-            cuts.append(max(hi, lo + 1.0) if False else hi)
+            cuts.append(hi)
             # sample each x1 band of the segment at its own pitch
             span = np.linalg.norm(v - u)
             x_lo, x_hi = u[0], v[0]

@@ -3,6 +3,16 @@
 Everything here is plain ASCII with one record per line, 17 significant
 digits for decimals, and atomic writes (write to a temp file in the target
 directory, then rename). Same input, same bytes.
+
+Model files can hold millions of vertex rows, so their text is built and
+read in chunks of ``_CHUNK_ROWS`` rows. A write formats each chunk with one
+``%``-format (``%.17g`` is the same C routine as ``format(x, ".17g")``) and
+joins the chunks once; ``atomic_write`` encodes its text in slices. A read
+streams the file: header records line by line, vertex rows a chunk at a time
+through one ``np.array(tokens, dtype=float)``, which parses each token with
+Python's ``float``. A chunk that fails the exact layout check is parsed
+again line by line, which gives the error with its ``path:line``. Memory
+stays bounded by one chunk plus the arrays and text being returned.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ import math
 import os
 import tempfile
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 
@@ -44,13 +55,29 @@ def _fmt_coords(pt) -> str:
     return " ".join(_fmt(c) for c in np.asarray(pt, dtype=float).ravel())
 
 
+# vertex rows formatted or parsed at a time, and characters encoded at a time
+_CHUNK_ROWS = 1 << 16
+_WRITE_SLICE = 1 << 20
+
+
+def _row_blocks(rows: np.ndarray):
+    """Yield the text of ``rows``, one ``%.17g`` row a line, a chunk at a time."""
+    line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    for lo in range(0, len(rows), _CHUNK_ROWS):
+        block = rows[lo:lo + _CHUNK_ROWS]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
 def atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` so readers never see a partial file."""
     parent = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-", text=False)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+            # UTF-8 encodes each code point alone, so the slices' bytes
+            # are the whole text's bytes without one full-size copy
+            for lo in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[lo:lo + _WRITE_SLICE].encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -63,25 +90,22 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def model_text(model: ContinuumModel | PointCloud) -> str:
-    out = io.StringIO()
     if isinstance(model, PointCloud):
-        out.write(f"dim {model.points.shape[1]}\n")
-        out.write(f"meta pitch {_fmt(model.pitch)}\n")
-        out.write(f"points cloud {len(model.points)}\n")
-        for pt in model.points:
-            out.write(_fmt_coords(pt) + "\n")
-        return out.getvalue()
-    out.write(f"dim {model.dimension}\n")
-    for key in sorted(model.meta):
-        out.write(f"meta {key} {model.meta[key]}\n")
+        parts = [
+            f"dim {model.points.shape[1]}\n",
+            f"meta pitch {_fmt(model.pitch)}\n",
+            f"points cloud {len(model.points)}\n",
+        ]
+        parts += _row_blocks(model.points)
+        return "".join(parts)
+    parts = [f"dim {model.dimension}\n"]
+    parts += [f"meta {key} {model.meta[key]}\n" for key in sorted(model.meta)]
     for line in model.pieces:
         head = f"polyline {line.name} {len(line.vertices)}"
-        out.write(head + (" closed\n" if line.closed else "\n"))
-        for pt in line.vertices:
-            out.write(_fmt_coords(pt) + "\n")
-    for label in sorted(model.marked):
-        out.write(f"marked {label} {_fmt_coords(model.marked[label])}\n")
-    return out.getvalue()
+        parts.append(head + (" closed\n" if line.closed else "\n"))
+        parts += _row_blocks(line.vertices)
+    parts += [f"marked {label} {_fmt_coords(model.marked[label])}\n" for label in sorted(model.marked)]
+    return "".join(parts)
 
 
 def save_model(model: ContinuumModel | PointCloud, path: str) -> None:
@@ -100,44 +124,78 @@ def _number(text: str, where: str, kind=float, least=None):
 
 
 def _parse_vertices(lines, start: int, count: int, dim: int, path: str):
+    """Parse ``count`` rows of ``dim`` numbers one line at a time.
+
+    ``lines[0]`` is line ``start + 1`` of ``path``; fewer than ``count``
+    lines means the file ended inside the block.
+    """
     rows = np.empty((count, dim))
     for j in range(count):
         idx = start + j
-        if idx >= len(lines):
+        if j >= len(lines):
             raise ValueError(f"{path}: truncated vertex block at line {idx + 1}")
-        parts = lines[idx].split()
+        line = lines[j].rstrip("\n")
+        parts = line.split()
         if len(parts) != dim:
             raise ValueError(f"{path}:{idx + 1}: expected {dim} coordinates")
         try:
             rows[j] = [float(p) for p in parts]
         except ValueError:
-            raise ValueError(f"{path}:{idx + 1}: bad coordinate in {lines[idx]!r}") from None
+            raise ValueError(f"{path}:{idx + 1}: bad coordinate in {line!r}") from None
     return rows
 
 
-def load_model(path: str) -> ContinuumModel | PointCloud:
-    """Read a model file back; point-only files come back as clouds.
+def _chunk_rows(lines: list[str], dim: int):
+    """Rows of ``lines`` when each holds exactly ``dim`` floats, else None.
 
-    A default-needle file (``meta kind needle``, ``meta base default``)
-    regains its exact resampler, so refinement after a round trip still
-    follows the curve rather than subdividing stored chords.
+    Each line end becomes a ``|`` token, and every ``(dim + 1)``-th token is
+    dropped. There are as many ``|`` as dropped tokens and ``|`` is no float,
+    so the parse succeeds only if the dropped tokens are exactly the line ends.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    n = len(lines)
+    text = "".join(lines)
+    if not text.endswith("\n"):
+        text += "\n"  # the file's last line need not end in a newline
+    tokens = text.replace("\n", " | ").split()
+    if len(tokens) != n * (dim + 1):
+        return None
+    del tokens[dim::dim + 1]
+    try:
+        return np.array(tokens, dtype=float).reshape(n, dim)
+    except ValueError:
+        return None
+
+
+def _read_vertices(fh, start: int, count: int, dim: int, path: str):
+    """Read the next ``count`` rows of ``fh``, line ``start + 1`` first, a chunk at a time."""
+    rows = np.empty((count, dim))
+    for lo in range(0, count, _CHUNK_ROWS):
+        want = min(_CHUNK_ROWS, count - lo)
+        lines = list(islice(fh, want))
+        block = _chunk_rows(lines, dim) if len(lines) == want else None
+        if block is None:
+            # the line-by-line parse raises with the line at fault
+            block = _parse_vertices(lines, start + lo, want, dim, path)
+        rows[lo:lo + want] = block
+    return rows
+
+
+def _read_model_records(fh, path: str):
+    """The records of a model file, read from ``fh`` line by line."""
     dim = None
     meta: dict[str, str] = {}
     pieces: list[Polyline] = []
     point_blocks: list[np.ndarray] = []
     marked: dict[str, np.ndarray] = {}
     i = 0
-    while i < len(lines):
-        line = lines[i].strip()
+    for raw in fh:
+        i += 1
+        line = raw.strip()
         if not line or line.startswith("#"):
-            i += 1
             continue
         parts = line.split(None, 2)
         tag = parts[0]
-        where = f"{path}:{i + 1}"
+        where = f"{path}:{i}"
         if tag == "dim":
             if len(parts) < 2:
                 raise ValueError(f"{where}: dim needs a value")
@@ -154,7 +212,7 @@ def load_model(path: str) -> ContinuumModel | PointCloud:
             name, rest = parts[1], parts[2].split()
             count = _number(rest[0], where, int, least=0)
             closed = len(rest) > 1 and rest[1] == "closed"
-            rows = _parse_vertices(lines, i + 1, count, dim, path)
+            rows = _read_vertices(fh, i, count, dim, path)
             if tag == "polyline":
                 pieces.append(Polyline(rows, closed=closed, name=name))
             else:
@@ -167,7 +225,27 @@ def load_model(path: str) -> ContinuumModel | PointCloud:
             marked[parts[1]] = np.array([_number(c, where) for c in coords])
         else:
             raise ValueError(f"{where}: unknown record {tag!r}")
-        i += 1
+    return dim, meta, pieces, point_blocks, marked
+
+
+def load_model(path: str) -> ContinuumModel | PointCloud:
+    """Read a model file back; point-only files come back as clouds.
+
+    A default-needle file (``meta kind needle``, ``meta base default``)
+    regains its exact resampler, so refinement after a round trip still
+    follows the curve rather than subdividing stored chords.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            dim, meta, pieces, point_blocks, marked = _read_model_records(fh, path)
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            # a byte that is not UTF-8 anywhere in the file takes precedence
+            # over a parse error, as if the file had been decoded whole
+            for _ in fh:
+                pass
+            raise
     if dim is None:
         raise ValueError(f"{path}: missing dim header")
     if point_blocks and pieces:
@@ -176,7 +254,8 @@ def load_model(path: str) -> ContinuumModel | PointCloud:
         pitch = _number(meta.get("pitch", "0"), f"{path}: meta pitch") or None
         if pitch is None:
             raise ValueError(f"{path}: point files need a 'meta pitch' record")
-        return PointCloud(np.vstack(point_blocks), pitch)
+        points = point_blocks[0] if len(point_blocks) == 1 else np.vstack(point_blocks)
+        return PointCloud(points, pitch)
     if not pieces:
         raise ValueError(f"{path}: no polyline or points sections")
     sampler = None
@@ -395,10 +474,6 @@ def certificate_text(cert: Certificate) -> str:
     for note in cert.notes:
         out.write(f"note={note}\n")
     return out.getvalue()
-
-
-def save_certificate(cert: Certificate, path: str) -> None:
-    atomic_write(path, certificate_text(cert))
 
 
 def parse_certificate(text: str) -> dict:

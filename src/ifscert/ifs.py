@@ -432,14 +432,19 @@ def attractor(ifs: IfsSpec, seed_cloud: PointCloud, tol: float = 1e-3,
     """
     if ifs.mode != MODE_STRICT:
         raise ValueError("attractor iteration requires strict mode")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, not {max_iter}")
     lam = ifs.contraction_factor
     current = seed_cloud
+    tree = cKDTree(current.points)
     steps: list[float] = []
     for _ in range(max_iter):
         nxt = hutchinson(ifs, current)
-        step = hausdorff(nxt, current)
+        # each cloud's tree serves two steps: as the new cloud, then as the old
+        nxt_tree = cKDTree(nxt.points)
+        step = hausdorff(nxt, current, trees=(nxt_tree, tree))
         steps.append(step)
-        current = nxt
+        current, tree = nxt, nxt_tree
         if step < tol:
             return AttractorResult(current, tuple(steps), True, step * lam / (1 - lam), lam)
     return AttractorResult(current, tuple(steps), False, steps[-1] * lam / (1 - lam), lam)

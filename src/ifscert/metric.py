@@ -37,12 +37,24 @@ DIVERGENCE_SLOPE = -0.15
 CONVERGENCE_REL_STEP = 0.01
 
 
-def hausdorff(a: PointCloud, b: PointCloud) -> float:
-    """Hausdorff distance between two clouds (exact, two nearest-neighbour passes)."""
-    ta, tb = cKDTree(a.points), cKDTree(b.points)
-    d_ab = tb.query(a.points, k=1)[0].max()
-    d_ba = ta.query(b.points, k=1)[0].max()
-    return float(max(d_ab, d_ba))
+def hausdorff(a: PointCloud, b: PointCloud, trees: tuple[cKDTree, cKDTree] | None = None,
+              witness: bool = False) -> float | tuple[float, bool, np.ndarray]:
+    """Hausdorff distance between two clouds (exact, two nearest-neighbour passes).
+
+    ``trees`` are KD-trees over ``a.points`` and ``b.points`` built by the
+    caller, who may reuse them; by default both are built here. With
+    ``witness``, return ``(distance, in_a, point)``: the point farthest from
+    the other cloud, and whether it belongs to ``a`` (ties go to ``a``).
+    """
+    ta, tb = trees if trees is not None else (cKDTree(a.points), cKDTree(b.points))
+    d_ab = tb.query(a.points, k=1)[0]
+    d_ba = ta.query(b.points, k=1)[0]
+    gap = float(max(d_ab.max(), d_ba.max()))
+    if not witness:
+        return gap
+    in_a = bool(d_ab.max() >= d_ba.max())
+    far = a.points[int(np.argmax(d_ab))] if in_a else b.points[int(np.argmax(d_ba))]
+    return gap, in_a, far
 
 
 @dataclass(frozen=True)

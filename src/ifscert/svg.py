@@ -1,7 +1,8 @@
 """Static SVG rendering for models, point clouds and chain-metric profiles.
 
 Fixed 1000x1000 viewport, fixed palette, fixed decimal formatting: the same
-input always produces the same bytes.
+input always produces the same bytes. Path data for large clouds and lines
+is formatted ``_CHUNK_POINTS`` points at a time, one ``%``-format a chunk.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .geometry import ContinuumModel, PointCloud
 VIEW = 1000
 _PLOT_MARGIN = 0.05
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
+_CHUNK_POINTS = 1 << 16
 
 _HEADER = (
     f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW}" height="{VIEW}" '
@@ -48,10 +50,21 @@ class _Frame:
         return out
 
 
+def _format_points(pattern: str, pts: np.ndarray) -> str:
+    """``pattern % (x, y)`` for each point, space-separated, a chunk at a time.
+
+    ``"%.2f" % v`` and ``_c(v)`` are the same C routine.
+    """
+    blocks = []
+    for lo in range(0, len(pts), _CHUNK_POINTS):
+        block = pts[lo:lo + _CHUNK_POINTS]
+        blocks.append(" ".join([pattern] * len(block)) % tuple(block.ravel().tolist()))
+    return " ".join(blocks)
+
+
 def _path(canvas_pts: np.ndarray) -> str:
-    steps = [f"M{_c(canvas_pts[0, 0])},{_c(canvas_pts[0, 1])}"]
-    steps += [f"L{_c(x)},{_c(y)}" for x, y in canvas_pts[1:]]
-    return " ".join(steps)
+    head = _format_points("M%.2f,%.2f", canvas_pts[:1])
+    return head + " " + _format_points("L%.2f,%.2f", canvas_pts[1:])
 
 
 def _marked_elements(marked: dict, frame: _Frame) -> list[str]:
@@ -68,15 +81,15 @@ def _marked_elements(marked: dict, frame: _Frame) -> list[str]:
 
 def model_svg(model: ContinuumModel | PointCloud) -> str:
     """Draw a model's polylines (and marked points) or a bare cloud."""
+    dim = model.points.shape[1] if isinstance(model, PointCloud) else model.dimension
+    if dim != 2:
+        raise ValueError(f"only 2-D models can be drawn, not dimension {dim}")
     if isinstance(model, PointCloud):
         frame = _Frame(model.points)
         pts = frame.map(model.points)
-        dots = " ".join(f"M{_c(x)},{_c(y)} h0" for x, y in pts)
-        body = (
-            f'<path d="{dots}" stroke="{_PALETTE[0]}" stroke-width="3" '
-            f'stroke-linecap="round" fill="none"/>\n'
-        )
-        return _HEADER + body + "</svg>\n"
+        tail = f'" stroke="{_PALETTE[0]}" stroke-width="3" stroke-linecap="round" fill="none"/>\n</svg>\n'
+        # one join: the dots are the bulk of the document
+        return "".join((_HEADER, '<path d="', _format_points("M%.2f,%.2f h0", pts), tail))
     stack = [line.vertices for line in model.pieces]
     if model.marked:
         stack.append(np.vstack(list(model.marked.values())))

@@ -214,3 +214,30 @@ def test_chain_rejects_non_finite_schedule_flags(tmp_path, capfd, flag, value):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag.lstrip("-").replace("-", "_") in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["certify", "fixed-set", "--delta", "inf"], "delta"),
+    (["certify", "fixed-set", "--delta", "nan"], "delta"),
+    (["certify", "fixed-set", "--delta=-1e-3"], "delta"),
+    (["certify", "needle-dichotomy", "--eps0", "nan"], "eps0"),
+    (["attractor", "--tol", "inf"], "tol"),
+    (["attractor", "--max-iter", "0"], "max_iter"),
+    (["attractor", "--box", "0,0,inf,1"], "--box"),
+    (["attractor", "--box", "nan,0,1,1"], "--box"),
+], ids=["delta-inf", "delta-nan", "delta-negative", "eps0-nan", "tol-inf", "max-iter-0", "box-inf", "box-nan"])
+def test_numeric_flags_must_be_finite_and_positive(tmp_path, halves_ifs, capfd, argv, name):
+    seg = tmp_path / "seg.model"
+    seg.write_text("dim 2\npolyline seg 2\n0 0\n1 0\nmarked a 0 0\n")
+    out = str(tmp_path / "out.model")
+    if argv[0] == "certify":
+        argv = [*argv, "--ifs", halves_ifs, "--model", str(seg), "--out", out]
+    else:
+        argv = [argv[0], halves_ifs, *argv[1:], "--out", out]
+    rc = run(*argv)
+    stdout, err = capfd.readouterr()
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err
+    assert not (tmp_path / "out.model").exists()
