@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .continua import NeedleModel, PModel, needle_offset
+from .continua import needle_offset
 from .geometry import ContinuumModel, PointCloud, Polyline, polyline_length, sample_polyline
 from .ifs import IfsSpec, MapSpec, classify_contraction, eval_map, hutchinson
 from .metric import chain_profiles, hausdorff
@@ -119,16 +119,37 @@ def fixed_set_check(ifs: IfsSpec, model: ContinuumModel, delta: float) -> Certif
     )
 
 
-def p_point_coverage(ifs: IfsSpec, pm: PModel, delta: float) -> Certificate:
+def _require_P(model: ContinuumModel) -> int:
+    """The scale count of a zigzag-union model; raise for any other model."""
+    if model.meta.get("kind") != "P":
+        raise ValueError("model is not a zigzag union (missing 'kind' metadata)")
+    n_max = int(model.meta.get("n_max", len(model.pieces)))
+    if n_max != len(model.pieces):
+        raise ValueError("piece count does not match the recorded n_max")
+    return n_max
+
+
+def _require_needle(model: ContinuumModel) -> None:
+    """Raise unless ``model`` is a needle whose ``refine`` follows the curve."""
+    if model.meta.get("kind") != "needle":
+        raise ValueError("model is not a needle (missing 'kind' metadata)")
+    if model.meta.get("base") != "default" and model.sampler is None:
+        raise ValueError("only default-base needle files can be rebuilt")
+
+
+def p_point_coverage(ifs: IfsSpec, model: ContinuumModel, delta: float) -> Certificate:
     """Check which marked tips of the zigzag union the image reaches.
 
-    A tip farther than three pitches from every map image certifies that the
-    union is not fixed, with the smallest missed tip as witness. When all
-    tips are covered, coverage owed entirely to short pieces through
-    origin-fixing maps is flagged as a resolution artifact.
+    ``model`` must be a zigzag union (``meta kind P``, as ``build_P`` makes)
+    whose ``n_max`` matches its piece count. A tip farther than three pitches
+    from every map image certifies that the union is not fixed, with the
+    smallest missed tip as witness. When all tips are covered, coverage owed
+    entirely to short pieces through origin-fixing maps is flagged as a
+    resolution artifact.
     """
-    clouds = [sample_polyline(line, delta) for line in pm.lines]
-    targets = [(n, pm.marked[f"p{n}"]) for n in range(1, pm.n_max + 1)]
+    n_max = _require_P(model)
+    clouds = [sample_polyline(line, delta) for line in model.pieces]
+    targets = [(n, model.marked[f"p{n}"]) for n in range(1, n_max + 1)]
     best = {n: math.inf for n, _ in targets}
     contributions: dict[int, list[tuple[int, int]]] = {n: [] for n, _ in targets}
     threshold = _COVER_PITCHES * delta
@@ -141,7 +162,7 @@ def p_point_coverage(ifs: IfsSpec, pm: PModel, delta: float) -> Certificate:
                 best[n] = min(best[n], d)
                 if d <= threshold:
                     contributions[n].append((j, i))
-    params = {"delta": delta, "threshold": threshold, "n_max": pm.n_max}
+    params = {"delta": delta, "threshold": threshold, "n_max": n_max}
     missed = [n for n, _ in targets if best[n] > threshold]
     if missed:
         n = min(missed)
@@ -149,7 +170,7 @@ def p_point_coverage(ifs: IfsSpec, pm: PModel, delta: float) -> Certificate:
             "union-is-not-the-fixed-set",
             VERDICT_CERTIFIED,
             best[n],
-            ((f"p{n}", pm.marked[f"p{n}"]),),
+            ((f"p{n}", model.marked[f"p{n}"]),),
             {**params, "missed": ",".join(str(m) for m in missed)},
         )
     notes = []
@@ -177,7 +198,7 @@ def p_point_coverage(ifs: IfsSpec, pm: PModel, delta: float) -> Certificate:
 
 def needle_dichotomy_check(
     f: MapSpec,
-    needle: NeedleModel,
+    model: ContinuumModel,
     eps0: float = 0.1,
     k_max: int = 6,
     delta: float = 1e-3,
@@ -191,10 +212,12 @@ def needle_dichotomy_check(
     the divergent chain to it must exceed the geometric series bound built
     from one convergent step; the only escape is the constant map onto the
     attachment point, reported as ``consistent``. ``classify_pairs=0`` skips
-    the empirical contraction screening (diagnostic use).
+    the empirical contraction screening (diagnostic use). ``model`` must be a
+    needle (``meta kind needle``, as ``build_needle`` makes); a custom-base
+    needle needs its sampler, which a model file does not keep.
     """
+    _require_needle(model)
     claim = "map-cannot-contract-the-needle"
-    model = needle.image
     cloud = model.refine(delta)
     params: dict = {
         "eps0": eps0, "k_max": k_max, "delta": delta, "seed": seed,
@@ -204,7 +227,7 @@ def needle_dichotomy_check(
     image_pts = eval_map(f, cloud.points)
     # membership against the defining formula when available: the refined
     # cloud intentionally under-covers folds below the shortcut scale
-    if model.meta.get("kind") == "needle" and model.meta.get("base") == "default":
+    if model.meta.get("base") == "default":
         off = needle_offset(image_pts)
     else:
         off = cKDTree(cloud.points).query(image_pts, k=1)[0]
@@ -236,8 +259,8 @@ def needle_dichotomy_check(
     hp = model.marked["h(p)"]
     fhp = eval_map(f, hp[None, :])[0]
     if float(np.linalg.norm(fhp - hp)) <= delta:
-        return _dichotomy_fixed_tip(f, needle, hp, eps0, k_max, delta, lam, claim, params, cloud)
-    return _dichotomy_moved_tip(f, needle, hp, eps0, k_max, delta, lam, claim, params, cloud)
+        return _dichotomy_fixed_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, cloud)
+    return _dichotomy_moved_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, cloud)
 
 
 def _snap_to_cloud(cloud: PointCloud, pt: np.ndarray) -> np.ndarray:
@@ -245,8 +268,7 @@ def _snap_to_cloud(cloud: PointCloud, pt: np.ndarray) -> np.ndarray:
     return cloud.points[idx]
 
 
-def _dichotomy_fixed_tip(f, needle, hp, eps0, k_max, delta, lam, claim, params, cloud):
-    model = needle.image
+def _dichotomy_fixed_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, cloud):
     far = model.marked.get("far")
     fx_far = eval_map(f, far[None, :])[0] if far is not None else None
     if fx_far is not None and np.linalg.norm(fx_far - hp) > 2 * delta:
@@ -299,8 +321,7 @@ def _dichotomy_fixed_tip(f, needle, hp, eps0, k_max, delta, lam, claim, params, 
     )
 
 
-def _dichotomy_moved_tip(f, needle, hp, eps0, k_max, delta, lam, claim, params, cloud):
-    model = needle.image
+def _dichotomy_moved_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, cloud):
     images = eval_map(f, cloud.points)
     to_hp = np.linalg.norm(images - hp, axis=1)
     self_dist = np.linalg.norm(cloud.points - hp, axis=1)

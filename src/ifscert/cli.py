@@ -33,8 +33,10 @@ _VERDICT_EXIT = {
 }
 
 
-# flags (by argparse dest) that must be finite and positive wherever they occur
-_POSITIVE_FLAGS = ("delta", "tol", "eps0", "pitch_ratio")
+# flags (by argparse dest) that must be finite and positive, or (integer
+# flags) at least 0, wherever they occur
+_POSITIVE_FLAGS = ("delta", "tol", "eps0", "pitch_ratio", "sharpness")
+_NONNEGATIVE_FLAGS = ("kmax", "classify_pairs")
 
 
 def _check_numeric_flags(args) -> None:
@@ -42,6 +44,10 @@ def _check_numeric_flags(args) -> None:
         value = getattr(args, dest, None)
         if value is not None and not 0 < value < math.inf:
             raise ValueError(f"{dest} must be finite and positive (--{dest.replace('_', '-')} {value})")
+    for dest in _NONNEGATIVE_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            raise ValueError(f"{dest} must be at least 0 (--{dest.replace('_', '-')} {value})")
 
 
 def _parse_point(text: str) -> str | np.ndarray:
@@ -71,10 +77,10 @@ def _emit_certificate(args, cert: Certificate) -> int:
 
 def _cmd_build(args) -> int:
     if args.kind == "needle":
-        model = continua.build_needle(args.sharpness, args.delta).image
+        model = continua.build_needle(args.sharpness, args.delta)
         default_out = "needle.model"
     elif args.kind == "P":
-        model = continua.build_P(args.n_max).model
+        model = continua.build_P(args.n_max)
         default_out = "P.model"
     else:
         line = continua.build_zigzag_ln(args.n)
@@ -164,13 +170,13 @@ def _cmd_certify(args) -> int:
     if args.kind == "fixed-set":
         cert = fixed_set_check(ifs, model, args.delta)
     elif args.kind == "p-coverage":
-        cert = p_point_coverage(ifs, continua.p_from_model(model), args.delta)
+        cert = p_point_coverage(ifs, model, args.delta)
     else:
         if not 0 <= args.map_index < len(ifs.maps):
             raise ValueError(f"--map-index must address one of {len(ifs.maps)} maps")
         cert = needle_dichotomy_check(
             ifs.maps[args.map_index],
-            continua.needle_from_model(model),
+            model,
             eps0=args.eps0,
             k_max=args.kmax,
             delta=args.delta,

@@ -10,7 +10,6 @@ size ``2**-n`` for each ``n``, all glued at the origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,6 +21,7 @@ from .geometry import (
     as_point,
     polar_to_cartesian,
     polyline_length,
+    sample_polyline,
     self_intersects,
 )
 
@@ -162,27 +162,6 @@ def _needle_zone_points(delta: float, shortcut_scale: float) -> np.ndarray:
     return np.column_stack((xs, needle_wave(xs)))
 
 
-@dataclass(frozen=True)
-class NeedleModel:
-    """Needle embedding of a base model, with the base kept for reference."""
-
-    base: ContinuumModel
-    image: ContinuumModel
-    sharpness: float
-    delta: float
-
-    @property
-    def dimension(self) -> int:
-        return self.image.dimension
-
-    @property
-    def marked(self) -> dict:
-        return self.image.marked
-
-    def refine(self, delta: float) -> PointCloud:
-        return self.image.refine(delta)
-
-
 def default_needle_base(dimension: int = 2) -> ContinuumModel:
     """Unit segment along the first axis with marked endpoints ``p`` and ``q``."""
     if dimension < 2:
@@ -278,7 +257,7 @@ def build_needle(
     sharpness: float = DEFAULT_SHARPNESS,
     delta: float = 1e-3,
     base: ContinuumModel | None = None,
-) -> NeedleModel:
+) -> ContinuumModel:
     """Embed a base model (default: the unit segment) as a needle.
 
     The returned model's ``refine`` regenerates on-curve samples at any pitch
@@ -288,25 +267,22 @@ def build_needle(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if sharpness <= 0:
-        raise ValueError("sharpness must be positive")
+    if not 0 < sharpness < math.inf:
+        raise ValueError("sharpness must be finite and positive")
+    meta = {
+        "kind": "needle",
+        "sharpness": repr(float(sharpness)),
+        "delta": repr(float(delta)),
+        "base": "default" if base is None else "custom",
+    }
     if base is None:
-        base = default_needle_base()
         pts = _needle_zone_points(delta, SHORTCUT_PITCHES * delta)
         pieces = (Polyline(pts, name="needle"),)
         marked = {
             "h(p)": np.zeros(2),
             "far": np.array([1.0, float(needle_wave(1.0))]),
         }
-        sampler = default_needle_sampler()
-        meta = {
-            "kind": "needle",
-            "sharpness": repr(float(sharpness)),
-            "delta": repr(float(delta)),
-            "base": "default",
-        }
-        image = ContinuumModel(pieces, marked, 2, sampler=sampler, meta=meta)
-        return NeedleModel(base, image, float(sharpness), float(delta))
+        return ContinuumModel(pieces, marked, 2, sampler=default_needle_sampler(), meta=meta)
 
     _validate_needle_base(base, delta)
     marked = {}
@@ -317,27 +293,11 @@ def build_needle(
     def sampler(d: float, _b=base, _s=sharpness) -> PointCloud:
         return _mapped_base_cloud(_b, _s, d)
 
-    build_cloud = _mapped_base_cloud(base, sharpness, delta)
     pieces = tuple(
-        Polyline(needle_map(_ordered_piece_points(piece, delta), sharpness), name=piece.name)
+        Polyline(needle_map(sample_polyline(piece, delta).points, sharpness), name=piece.name)
         for piece in base.pieces
     )
-    meta = {
-        "kind": "needle",
-        "sharpness": repr(float(sharpness)),
-        "delta": repr(float(delta)),
-        "base": "custom",
-    }
-    image = ContinuumModel(pieces, marked, base.dimension, sampler=sampler, meta=meta)
-    model = NeedleModel(base, image, float(sharpness), float(delta))
-    assert len(build_cloud) > 0
-    return model
-
-
-def _ordered_piece_points(piece: Polyline, delta: float) -> np.ndarray:
-    from .geometry import sample_polyline
-
-    return sample_polyline(piece, delta).points
+    return ContinuumModel(pieces, marked, base.dimension, sampler=sampler, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -464,29 +424,13 @@ def _solve_trim(M: int, target: float, lay: dict, t_floor: float, length_tol: fl
     return 0.5 * (a + b)
 
 
-@dataclass(frozen=True)
-class PModel:
-    """Union of zigzag lines glued at the origin, one per scale 1..n_max."""
-
-    n_max: int
-    lines: tuple[Polyline, ...]
-    model: ContinuumModel
-
-    @property
-    def marked(self) -> dict:
-        return self.model.marked
-
-    def refine(self, delta: float) -> PointCloud:
-        return self.model.refine(delta)
-
-
-def build_P(n_max: int, length_tol: float = 1e-9, verify: bool = True) -> PModel:
+def build_P(n_max: int, length_tol: float = 1e-9) -> ContinuumModel:
     """Union of the zigzag lines for n = 1..n_max with marked tips.
 
-    When ``verify`` is set, each line is checked to be simple and the wedge
-    bounds are checked on every vertex; distinct lines live in angularly
-    disjoint convex sectors, so they can only meet at the shared origin,
-    which is additionally spot-checked near the apex.
+    Each line is checked to be simple and the wedge bounds are checked on
+    every vertex; distinct lines live in angularly disjoint convex sectors,
+    so they can only meet at the shared origin, which is additionally
+    spot-checked near the apex.
     """
     if not 1 <= n_max <= ZIGZAG_MAX_N:
         raise ValueError(f"n_max must be between 1 and {ZIGZAG_MAX_N}")
@@ -496,10 +440,8 @@ def build_P(n_max: int, length_tol: float = 1e-9, verify: bool = True) -> PModel
         marked[f"p{n}"] = np.array(line.vertices[-1])
     meta = {"kind": "P", "n_max": str(n_max), "length_tol": repr(float(length_tol))}
     model = ContinuumModel(lines, marked, 2, meta=meta)
-    pm = PModel(n_max, lines, model)
-    if verify:
-        verify_P(pm)
-    return pm
+    verify_P(model)
+    return model
 
 
 def wedge_bounds_ok(line: Polyline, n: int) -> bool:
@@ -516,9 +458,12 @@ def wedge_bounds_ok(line: Polyline, n: int) -> bool:
     return bool(np.all((theta[pos] > lo) & (theta[pos] < hi)))
 
 
-def verify_P(pm: PModel) -> None:
-    """Raise if any line self-intersects, leaves its wedge, or meets another."""
-    for n, line in zip(range(1, pm.n_max + 1), pm.lines):
+def verify_P(model: ContinuumModel) -> None:
+    """Raise if any line self-intersects, leaves its wedge, or meets another.
+
+    Piece ``n`` of ``model`` (counting from 1) is checked as the line ``l_n``.
+    """
+    for n, line in enumerate(model.pieces, start=1):
         if not wedge_bounds_ok(line, n):
             raise RuntimeError(f"line {n} leaves its wedge")
         flag, witness = self_intersects(line, tol=0.0)
@@ -526,20 +471,20 @@ def verify_P(pm: PModel) -> None:
             raise RuntimeError(f"line {n} self-intersects at segments {witness}")
     # angular sector separation: line n spans theta in [0.75, 1.25] * 2**-n,
     # so consecutive scales are separated by an empty sector
-    for n in range(1, pm.n_max):
+    for n in range(1, len(model.pieces)):
         hi_next = 1.25 * 2.0 ** -(n + 1)
         lo_this = 0.75 * 2.0 ** -n
         if hi_next >= lo_this:
             raise RuntimeError("wedges overlap angularly")
-    _check_apex_contacts(pm)
+    _check_apex_contacts(model.pieces)
 
 
-def _check_apex_contacts(pm: PModel) -> None:
+def _check_apex_contacts(lines: tuple[Polyline, ...]) -> None:
     """Near the apex, segment pairs from distinct lines may meet only at 0."""
     from .geometry import _segment_distance_batch
 
     near = []
-    for line in pm.lines:
+    for line in lines:
         starts, ends = line.segments()
         radius = np.minimum(np.hypot(*starts.T), np.hypot(*ends.T))
         keep = radius <= 2.0 * _RADIAL_INNER * 2.0 ** -1
@@ -567,24 +512,3 @@ def _check_apex_contacts(pm: PModel) -> None:
                         raise RuntimeError(
                             f"lines {i + 1} and {j + 1} touch away from the origin"
                         )
-
-
-def needle_from_model(model: ContinuumModel) -> NeedleModel:
-    """Rebuild the needle wrapper around a model loaded from a file."""
-    if model.meta.get("kind") != "needle":
-        raise ValueError("model is not a needle (missing 'kind' metadata)")
-    if model.meta.get("base") != "default":
-        raise ValueError("only default-base needle files can be rebuilt")
-    sharpness = float(model.meta["sharpness"])
-    delta = float(model.meta["delta"])
-    return NeedleModel(default_needle_base(), model, sharpness, delta)
-
-
-def p_from_model(model: ContinuumModel) -> PModel:
-    """Rebuild the zigzag-union wrapper around a model loaded from a file."""
-    if model.meta.get("kind") != "P":
-        raise ValueError("model is not a zigzag union (missing 'kind' metadata)")
-    n_max = int(model.meta.get("n_max", len(model.pieces)))
-    if n_max != len(model.pieces):
-        raise ValueError("piece count does not match the recorded n_max")
-    return PModel(n_max, model.pieces, model)

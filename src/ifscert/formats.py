@@ -21,6 +21,7 @@ import csv
 import io
 import math
 import os
+import stat
 import tempfile
 from dataclasses import replace
 from itertools import islice
@@ -118,8 +119,8 @@ def _number(text: str, where: str, kind=float, least=None):
         value = kind(text)
     except ValueError:
         raise ValueError(f"{where}: {text!r} is not a valid {kind.__name__}") from None
-    if least is not None and value < least:
-        raise ValueError(f"{where}: {text!r} is below {least}")
+    if least is not None and not value >= least:
+        raise ValueError(f"{where}: {text!r} is not >= {least}")
     return value
 
 
@@ -167,8 +168,15 @@ def _chunk_rows(lines: list[str], dim: int):
 
 
 def _read_vertices(fh, start: int, count: int, dim: int, path: str):
-    """Read the next ``count`` rows of ``fh``, line ``start + 1`` first, a chunk at a time."""
-    rows = np.empty((count, dim))
+    """Read the next ``count`` rows of ``fh``, line ``start + 1`` first, a chunk at a time.
+
+    A row of ``dim`` numbers takes at least ``2 * dim`` bytes (the last one
+    may lack its newline). A count that a regular file could not hold is not
+    allocated: its chunks are parsed and dropped until the block fails.
+    """
+    st = os.fstat(fh.fileno())
+    fits = not stat.S_ISREG(st.st_mode) or count * 2 * dim - 1 <= st.st_size
+    rows = np.empty((count, dim)) if fits else None
     for lo in range(0, count, _CHUNK_ROWS):
         want = min(_CHUNK_ROWS, count - lo)
         lines = list(islice(fh, want))
@@ -176,7 +184,8 @@ def _read_vertices(fh, start: int, count: int, dim: int, path: str):
         if block is None:
             # the line-by-line parse raises with the line at fault
             block = _parse_vertices(lines, start + lo, want, dim, path)
-        rows[lo:lo + want] = block
+        if rows is not None:
+            rows[lo:lo + want] = block
     return rows
 
 
@@ -319,7 +328,7 @@ def _pop_map_flags(tokens: list[str], where: str):
         if tok == "attested":
             attested = True
         else:
-            lip = _number(tok[4:], where)
+            lip = _number(tok[4:], where, least=0)
     return lip, attested
 
 
@@ -334,6 +343,8 @@ def _parse_map_tokens(tokens: list[str], dim: int, where: str) -> MapSpec:
         if len(args) != need:
             raise ValueError(f"{where}: affine needs {need} numbers in dimension {dim}")
         vals = [_number(a, where) for a in args]
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"{where}: affine coefficients must be finite")
         matrix = np.array(vals[: dim * dim]).reshape(dim, dim)
         spec = MapSpec(KIND_AFFINE, dim, matrix=matrix, offset=np.array(vals[dim * dim:]), **kw)
         if spec.lip_bound is None:
@@ -501,17 +512,3 @@ def parse_certificate(text: str) -> dict:
         if required not in info:
             raise ValueError(f"certificate is missing {required}")
     return info
-
-
-def certificate_csv_header() -> list[str]:
-    return ["claim", "verdict", "margin", "witnesses", "notes"]
-
-
-def certificate_csv_row(cert: Certificate) -> list[str]:
-    return [
-        cert.claim,
-        cert.verdict,
-        _fmt(cert.margin),
-        "; ".join(f"{label}: {_fmt_coords(pt)}" for label, pt in cert.witnesses),
-        "; ".join(cert.notes),
-    ]

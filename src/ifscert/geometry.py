@@ -192,52 +192,6 @@ def sample_polyline(line: Polyline, delta: float) -> PointCloud:
     return PointCloud(pts, float(delta))
 
 
-@dataclass(frozen=True)
-class GraphCurve:
-    """Graph of a scalar function x -> f(x), with optional analytic helpers.
-
-    ``min_feature(x)`` should underestimate the local oscillation scale of f;
-    the adaptive sampler uses it to seed the initial grid so that chord
-    refinement cannot step over a whole oscillation.
-    """
-
-    f: Callable[[np.ndarray], np.ndarray]
-    fprime: Callable[[np.ndarray], np.ndarray] | None = None
-    min_feature: Callable[[float], float] | None = None
-
-
-def sample_graph_curve(curve: GraphCurve, a: float, b: float, delta: float) -> PointCloud:
-    """Arc-length-adaptive sample of the graph of ``curve.f`` on ``[a, b]``.
-
-    ``a`` must be positive: the left endpoint is where oscillatory integrands
-    of interest blow up, and clouds only approach it through the refinement
-    schedule of the metric layer.
-    """
-    if a <= 0:
-        raise ValueError("left endpoint must be positive")
-    if b <= a:
-        raise ValueError("need a < b")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    feat = (b - a) / 1024.0
-    if curve.min_feature is not None:
-        feat = min(feat, float(curve.min_feature(a)))
-    n0 = int(np.ceil((b - a) / max(feat, 1e-12))) + 1
-    xs = np.linspace(a, b, max(n0, 17))
-    ys = np.asarray(curve.f(xs), dtype=float)
-    for _ in range(64):
-        chord = np.hypot(np.diff(xs), np.diff(ys))
-        bad = chord > delta
-        if not bad.any():
-            break
-        mids = 0.5 * (xs[:-1][bad] + xs[1:][bad])
-        xs = np.sort(np.concatenate([xs, mids]))
-        ys = np.asarray(curve.f(xs), dtype=float)
-    else:
-        raise RuntimeError("graph sampling did not reach the requested pitch")
-    return PointCloud(np.column_stack((xs, ys)), float(delta))
-
-
 # ---------------------------------------------------------------------------
 # self-intersection testing
 

@@ -61,6 +61,8 @@ class MapSpec:
             raise ValueError(f"unknown map kind {self.kind!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
+        if self.lip_bound is not None and not self.lip_bound >= 0:
+            raise ValueError(f"a Lipschitz bound must be >= 0, not {self.lip_bound!r}")
         if self.kind == KIND_AFFINE:
             m = np.asarray(self.matrix, dtype=float)
             b = np.asarray(self.offset, dtype=float)

@@ -116,7 +116,7 @@ def test_criterion_02_needle_profile_diverges_and_tracks_windows():
         worst_window = max(worst_window, abs(d / wave_arc_length(a, 1.0) - 1.0))
     checks.append((worst_window < 0.01, f"dense-path window oracle (worst {worst_window:.1e})"))
 
-    profile = chain_profile(needle.image, "far", "h(p)", eps0=0.1, k_max=8)
+    profile = chain_profile(needle, "far", "h(p)", eps0=0.1, k_max=8)
     checks.append((profile.verdict == "diverges", f"verdict {profile.verdict}"))
     checks.append(
         (profile.slope is not None and profile.slope <= -0.15,
@@ -302,7 +302,7 @@ def test_criterion_09_certificates():
     control = fixed_set_check(_halves_2d(), _segment_model(), 1e-3)
     checks.append((control.verdict == "inconclusive", f"interval control {control.verdict}"))
 
-    against = fixed_set_check(_halves_2d(), needle.image, 1e-3)
+    against = fixed_set_check(_halves_2d(), needle, 1e-3)
     checks.append((against.verdict == "certified" and against.margin > 0,
                    f"interval system vs needle margin {against.margin:.3f}"))
 

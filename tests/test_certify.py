@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def test_fixed_set_check_inconclusive_on_its_own_fixed_set():
 
 def test_fixed_set_check_certifies_needle_is_not_interval_fixed_set():
     needle = build_needle(delta=1e-3)
-    cert = fixed_set_check(_halves_2d(), needle.image, 1e-3)
+    cert = fixed_set_check(_halves_2d(), needle, 1e-3)
     assert cert.verdict == "certified"
     assert cert.margin > 0.1
     assert cert.witnesses[0][0] in ("image-point-off-model", "model-point-off-image")
@@ -114,7 +115,7 @@ def test_fixed_set_check_constant_map_margin_is_the_reach():
     # collapsing everything to the origin leaves the far tip uncovered, so
     # the gap is the needle's farthest distance from the origin
     needle = build_needle(delta=1e-3)
-    cert = fixed_set_check(IfsSpec((_const_map(),)), needle.image, 1e-3)
+    cert = fixed_set_check(IfsSpec((_const_map(),)), needle, 1e-3)
     reach = math.sqrt(1.0 + math.sin(1.0) ** 2)
     assert cert.verdict == "certified"
     assert cert.margin == pytest.approx(reach - 0.01, abs=5e-3)
@@ -206,3 +207,23 @@ def test_dichotomy_needs_a_bound_when_screening_passes(needle):
     cert = needle_dichotomy_check(f, needle, classify_pairs=0)
     assert cert.verdict == "inconclusive"
     assert any("Lipschitz" in n for n in cert.notes)
+
+
+# --- model kind ------------------------------------------------------------------
+
+
+def test_certificates_check_n_max_and_the_needle_sampler():
+    # the wrong kind of model is refused in tests/test_continua.py
+    P = build_P(2)
+    extra = replace(P, meta={**P.meta, "n_max": "3"})
+    with pytest.raises(ValueError, match="does not match the recorded n_max"):
+        p_point_coverage(IfsSpec((_const_map(),)), extra, 1e-2)
+    # a custom-base needle resamples through its builder's sampler, which a
+    # model file does not keep; without it the needle is refused
+    seg = Polyline(np.array([[0.0, 0.5], [1.0, 0.5]]))
+    base = ContinuumModel((seg,), {"p": np.array([0.0, 0.5]), "q": np.array([1.0, 0.5])}, 2)
+    custom = build_needle(100.0, 1e-2, base=base)
+    with pytest.raises(ValueError, match="default-base"):
+        needle_dichotomy_check(_const_map(), replace(custom, sampler=None), classify_pairs=0)
+    cert = needle_dichotomy_check(_const_map(), custom, delta=1e-2, k_max=2, classify_pairs=0)
+    assert cert.verdict == "consistent"

@@ -182,6 +182,9 @@ MALFORMED_INPUTS = {
     "nocount.model": "dim 2\npolyline a\n0 0\n1 0\n",
     "nomode.ifs": "dim 2\nmode\naffine 0.5 0 0 0.5 0 0\n",
     "nope.ifs": "dim 2\nclosed_form nope 1\n",
+    "lipneg.ifs": "dim 2\nclosed_form needle_param_scale 0.5 lip=-1\n",
+    "lipnan.ifs": "dim 2\nclosed_form needle_param_scale 0.5 lip=nan\n",
+    "affnan.ifs": "dim 2\naffine nan 0 0 1 0 0\n",
 }
 
 
@@ -225,13 +228,18 @@ def test_chain_rejects_non_finite_schedule_flags(tmp_path, capfd, flag, value):
     (["attractor", "--max-iter", "0"], "max_iter"),
     (["attractor", "--box", "0,0,inf,1"], "--box"),
     (["attractor", "--box", "nan,0,1,1"], "--box"),
-], ids=["delta-inf", "delta-nan", "delta-negative", "eps0-nan", "tol-inf", "max-iter-0", "box-inf", "box-nan"])
+    (["build", "needle", "--sharpness", "nan"], "sharpness"),
+    (["build", "needle", "--sharpness", "inf"], "sharpness"),
+], ids=["delta-inf", "delta-nan", "delta-negative", "eps0-nan", "tol-inf", "max-iter-0", "box-inf", "box-nan",
+        "sharpness-nan", "sharpness-inf"])
 def test_numeric_flags_must_be_finite_and_positive(tmp_path, halves_ifs, capfd, argv, name):
     seg = tmp_path / "seg.model"
     seg.write_text("dim 2\npolyline seg 2\n0 0\n1 0\nmarked a 0 0\n")
     out = str(tmp_path / "out.model")
     if argv[0] == "certify":
         argv = [*argv, "--ifs", halves_ifs, "--model", str(seg), "--out", out]
+    elif argv[0] == "build":
+        argv = [*argv, "--out", out]
     else:
         argv = [argv[0], halves_ifs, *argv[1:], "--out", out]
     rc = run(*argv)
@@ -241,3 +249,33 @@ def test_numeric_flags_must_be_finite_and_positive(tmp_path, halves_ifs, capfd, 
     assert err.startswith("error: ") and err.count("\n") == 1
     assert name in err
     assert not (tmp_path / "out.model").exists()
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--kmax", "-1", "kmax"), ("--classify-pairs", "-5", "classify_pairs"),
+])
+def test_integer_flags_must_not_be_negative(tmp_path, capfd, flag, value, name):
+    # a constant map onto the attachment point: any accepted run exits 0
+    needle = str(tmp_path / "needle.model")
+    assert run("build", "needle", "--delta", "1e-2", "--out", needle, "--quiet") == 0
+    const = tmp_path / "const.ifs"
+    const.write_text("dim 2\naffine 0 0 0 0 0 0\n")
+    out = str(tmp_path / "out.cert")
+    rc = run("certify", "needle-dichotomy", "--ifs", str(const), "--model", needle,
+             "--delta", "1e-2", flag, value, "--out", out)
+    stdout, err = capfd.readouterr()
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err
+    assert not (tmp_path / "out.cert").exists()
+
+
+def test_oversized_point_count_exits_2(tmp_path, capfd):
+    huge = tmp_path / "huge.model"
+    huge.write_text("dim 2\nmeta pitch 1\npoints c 100000000000\n")
+    rc = run("plot", str(huge), "--out", str(tmp_path / "huge.svg"))
+    stdout, err = capfd.readouterr()
+    assert rc == 2
+    assert stdout == ""
+    assert err == f"error: {huge}: truncated vertex block at line 4\n"

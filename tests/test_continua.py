@@ -8,18 +8,18 @@ from ifscert.continua import (
     build_P,
     build_zigzag_ln,
     default_needle_base,
-    needle_from_model,
     needle_h1,
     needle_h2,
     needle_map,
     needle_offset,
     needle_wave,
     needle_wave_slope_bound,
-    p_from_model,
     verify_P,
     wedge_bounds_ok,
 )
+from ifscert.certify import needle_dichotomy_check, p_point_coverage
 from ifscert.geometry import ContinuumModel, Polyline, polar_to_cartesian, polyline_length, self_intersects
+from ifscert.ifs import IfsSpec, affine_map
 
 from _oracles import mp_needle_point
 
@@ -118,7 +118,7 @@ def test_build_needle_marks_and_meta():
     assert np.array_equal(needle.marked["h(p)"], [0.0, 0.0])
     far = needle.marked["far"]
     assert far[0] == 1.0 and far[1] == pytest.approx(math.sin(1.0), rel=1e-15)
-    assert needle.image.meta["kind"] == "needle"
+    assert needle.meta["kind"] == "needle"
     with pytest.raises(ValueError):
         build_needle(delta=0.0)
     with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ def test_build_needle_marks_and_meta():
 def test_needle_refine_points_are_on_curve_and_chained():
     needle = build_needle(delta=1e-3)
     for delta in (1e-3, 2e-4):
-        cloud = needle.image.refine(delta)
+        cloud = needle.refine(delta)
         pts = cloud.points
         assert cloud.pitch == delta
         assert np.all(np.abs(pts[:, 1] - needle_wave(pts[:, 0])) < 1e-14)
@@ -140,7 +140,7 @@ def test_needle_refine_points_are_on_curve_and_chained():
 
 def test_needle_embedding_is_injective_at_sample_resolution():
     delta = 1e-3
-    cloud = build_needle(delta=delta).image.refine(delta)
+    cloud = build_needle(delta=delta).refine(delta)
     pts = cloud.points
     order = np.argsort(pts[:, 0], kind="stable")
     pts = pts[order]
@@ -228,17 +228,17 @@ def test_wedge_bounds_reject_foreign_line():
     assert not wedge_bounds_ok(stray, 3)
 
 
-# --- file-reconstruction helpers ---------------------------------------------
+# --- model metadata the certificates check ---------------------------------
 
 
 def test_model_wrappers_require_matching_metadata():
+    const = affine_map(np.zeros((2, 2)), [0.0, 0.0])
     pm = build_P(2)
     with pytest.raises(ValueError, match="needle"):
-        needle_from_model(pm.model)
+        needle_dichotomy_check(const, pm, classify_pairs=0)
     needle = build_needle(delta=1e-2)
     with pytest.raises(ValueError, match="zigzag"):
-        p_from_model(needle.image)
-    again = p_from_model(pm.model)
-    assert again.n_max == 2 and len(again.lines) == 2
-    nm = needle_from_model(needle.image)
-    assert nm.sharpness == 100.0 and nm.delta == 1e-2
+        p_point_coverage(IfsSpec((const,)), needle, 1e-2)
+    again = p_point_coverage(IfsSpec((const,)), pm, 1e-2)
+    assert again.parameters["n_max"] == 2 and len(pm.pieces) == 2
+    assert needle.meta["sharpness"] == "100.0" and needle.meta["delta"] == "0.01"

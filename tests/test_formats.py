@@ -6,8 +6,6 @@ import pytest
 from ifscert.certify import Certificate
 from ifscert.continua import build_P, build_needle
 from ifscert.formats import (
-    certificate_csv_header,
-    certificate_csv_row,
     certificate_text,
     ifs_text,
     load_ifs,
@@ -35,7 +33,7 @@ from ifscert.metric import ChainMetricProfile
 def test_model_roundtrip_is_byte_identical(tmp_path):
     pm = build_P(3)
     path = str(tmp_path / "P.model")
-    save_model(pm.model, path)
+    save_model(pm, path)
     first = open(path, "rb").read()
     again = str(tmp_path / "P2.model")
     save_model(load_model(path), again)
@@ -57,7 +55,7 @@ def test_model_roundtrip_preserves_fields(tmp_path):
 def test_needle_file_regains_its_sampler(tmp_path):
     needle = build_needle(delta=1e-3)
     path = str(tmp_path / "needle.model")
-    save_model(needle.image, path)
+    save_model(needle, path)
     back = load_model(path)
     assert back.sampler is not None
     fine = back.refine(1e-4)
@@ -149,6 +147,33 @@ def test_ifs_loader_rejects_malformed_files(tmp_path):
             load_ifs(str(p))
 
 
+@pytest.mark.parametrize("text", [
+    "dim 2\nclosed_form needle_param_scale 0.5 lip=-1\n",
+    "dim 2\nclosed_form needle_param_scale 0.5 lip=nan\n",
+    "dim 2\naffine 0.5 0 0 0.5 0 0 lip=-0.5\n",
+    "dim 2\nbegin\nneedle_h2\nend lip=nan\n",
+    "dim 2\naffine nan 0 0 1 0 0\n",
+    "dim 2\naffine 1 0 0 1 inf 0 lip=0.5\n",
+], ids=["lip-negative", "lip-nan", "affine-lip-negative", "end-lip-nan", "affine-nan", "affine-inf"])
+def test_ifs_loader_rejects_bad_lipschitz_bounds_and_coefficients(tmp_path, text):
+    p = tmp_path / "bad.ifs"
+    p.write_text(text)
+    line = text.count("\n")
+    with pytest.raises(ValueError, match=f"^{p}:{line}: "):
+        load_ifs(str(p))
+
+
+def test_oversized_point_count_fails_without_allocating(tmp_path):
+    p = tmp_path / "huge.model"
+    p.write_text("dim 2\nmeta pitch 1\npoints c 100000000000\n")
+    with pytest.raises(ValueError, match=f"^{p}: truncated vertex block at line 4$"):
+        load_model(str(p))
+    # the same count with a bad row in its first chunk names that row
+    p.write_text("dim 2\nmeta pitch 1\npoints c 100000000000\n0 0\n1 x\n")
+    with pytest.raises(ValueError, match=f"^{p}:5: bad coordinate"):
+        load_model(str(p))
+
+
 def test_profile_csv_roundtrip_with_infinities(tmp_path):
     profile = ChainMetricProfile(
         epsilons=np.array([0.1, 0.05, 0.025]),
@@ -202,15 +227,6 @@ def test_certificate_parse_flags_gaps():
         parse_certificate("claim=c\nverdict=inconclusive\nmargin=0\nbonus=1\n")
     with pytest.raises(ValueError, match="key=value"):
         parse_certificate("claim\n")
-
-
-def test_certificate_csv_row_matches_header():
-    cert = Certificate("c", "inconclusive", 0.0, (), {}, ("why not",))
-    header = certificate_csv_header()
-    row = certificate_csv_row(cert)
-    assert len(row) == len(header)
-    assert row[header.index("verdict")] == "inconclusive"
-    assert row[header.index("notes")] == "why not"
 
 
 def test_seventeen_digit_floats_are_exact(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 import ifscert.geometry
 from ifscert.geometry import (
     ContinuumModel,
-    GraphCurve,
     PointCloud,
     Polyline,
     _ALLPAIRS_MAX_SEGMENTS,
@@ -15,7 +14,6 @@ from ifscert.geometry import (
     _segment_pairs,
     polar_to_cartesian,
     polyline_length,
-    sample_graph_curve,
     sample_polyline,
     self_intersects,
 )
@@ -84,17 +82,6 @@ def test_polar_to_cartesian():
     assert rows[0, 0] == pytest.approx(1.0) and rows[1, 0] == pytest.approx(-1.0)
     with pytest.raises(ValueError):
         polar_to_cartesian([-0.1, 0.0])
-
-
-def test_sample_graph_curve_stays_on_curve_and_controls_chords():
-    curve = GraphCurve(lambda x: x * x, lambda x: 2 * x, min_feature=lambda a: 0.1)
-    cloud = sample_graph_curve(curve, 0.2, 1.0, 0.01)
-    x, y = cloud.points[:, 0], cloud.points[:, 1]
-    assert np.max(np.abs(y - x * x)) == 0.0
-    gaps = np.linalg.norm(np.diff(cloud.points, axis=0), axis=1)
-    assert gaps.max() <= 0.01 + 1e-12
-    with pytest.raises(ValueError):
-        sample_graph_curve(curve, 0.0, 1.0, 0.01)
 
 
 def test_self_intersects_bowtie_and_square():

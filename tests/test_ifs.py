@@ -54,6 +54,15 @@ def test_map_spec_validation():
                 region=np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("lip", [-1.0, -1e-300, math.nan, -math.inf])
+def test_map_spec_rejects_negative_or_nan_lipschitz_bound(lip):
+    with pytest.raises(ValueError, match="Lipschitz bound must be >= 0"):
+        MapSpec("affine", 2, matrix=np.eye(2), offset=np.zeros(2), lip_bound=lip)
+    with pytest.raises(ValueError, match="Lipschitz bound must be >= 0"):
+        closed_form_map("needle_param_scale", (0.5,), lip_bound=lip)
+    assert MapSpec("affine", 2, matrix=np.eye(2), offset=np.zeros(2), lip_bound=0.0).lip_bound == 0.0
+
+
 def test_affine_map_evaluates_and_carries_spectral_bound():
     A = [[0.3, 0.1], [0.0, 0.4]]
     f = affine_map(A, [1.0, -1.0])
@@ -183,7 +192,7 @@ def test_classify_catches_parameter_halving_expansion():
     # halving the curve parameter drags points toward the tip, where arcs
     # stretch without bound: local pairs must expose a ratio above one
     needle = build_needle(delta=1e-3)
-    cloud = needle.image.refine(1e-3)
+    cloud = needle.refine(1e-3)
     f = closed_form_map("needle_param_scale", (0.5,))
     verdict = classify_contraction(f, cloud, pairs=20000, seed=0)
     assert verdict.kind == "expansion_witness"

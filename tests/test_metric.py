@@ -183,7 +183,7 @@ _CRITERION_2_VALUES = [
 
 
 def test_needle_profile_values_are_pinned_bit_for_bit():
-    profile = chain_profile(build_needle().image, "far", "h(p)", eps0=0.1, k_max=8)
+    profile = chain_profile(build_needle(), "far", "h(p)", eps0=0.1, k_max=8)
     assert [float(v).hex() for v in profile.values] == _CRITERION_2_VALUES
     assert profile.verdict == "diverges"
 

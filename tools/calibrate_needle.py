@@ -31,7 +31,7 @@ def main() -> None:
     eps0, k_max = 0.1, 8
     needle = build_needle()
     t0 = time.time()
-    prof = chain_profile(needle.image, "far", "h(p)", eps0=eps0, k_max=k_max)
+    prof = chain_profile(needle, "far", "h(p)", eps0=eps0, k_max=k_max)
     print(f"profile computed in {time.time() - t0:.1f}s verdict={prof.verdict} slope={prof.slope:.4f}")
 
     # interpolation table for L(a) = arc length over [a, 1], log-log smooth
