@@ -126,6 +126,9 @@ def _require_P(model: ContinuumModel) -> int:
     n_max = int(model.meta.get("n_max", len(model.pieces)))
     if n_max != len(model.pieces):
         raise ValueError("piece count does not match the recorded n_max")
+    missing = [f"p{n}" for n in range(1, n_max + 1) if f"p{n}" not in model.marked]
+    if missing:
+        raise ValueError(f"model lacks the marked point {missing[0]!r}")
     return n_max
 
 
@@ -135,6 +138,8 @@ def _require_needle(model: ContinuumModel) -> None:
         raise ValueError("model is not a needle (missing 'kind' metadata)")
     if model.meta.get("base") != "default" and model.sampler is None:
         raise ValueError("only default-base needle files can be rebuilt")
+    if "h(p)" not in model.marked:
+        raise ValueError("model lacks the marked point 'h(p)'")
 
 
 def p_point_coverage(ifs: IfsSpec, model: ContinuumModel, delta: float) -> Certificate:

@@ -18,6 +18,8 @@ from .geometry import (
     ContinuumModel,
     PointCloud,
     Polyline,
+    _candidate_pairs,
+    _segment_distance_batch,
     as_point,
     polar_to_cartesian,
     polyline_length,
@@ -427,10 +429,9 @@ def _solve_trim(M: int, target: float, lay: dict, t_floor: float, length_tol: fl
 def build_P(n_max: int, length_tol: float = 1e-9) -> ContinuumModel:
     """Union of the zigzag lines for n = 1..n_max with marked tips.
 
-    Each line is checked to be simple and the wedge bounds are checked on
-    every vertex; distinct lines live in angularly disjoint convex sectors,
-    so they can only meet at the shared origin, which is additionally
-    spot-checked near the apex.
+    :func:`verify_P` checks the result: every segment pair of distinct
+    lines may meet only at the shared origin, each line must be simple, and
+    every vertex must lie in its line's wedge.
     """
     if not 1 <= n_max <= ZIGZAG_MAX_N:
         raise ValueError(f"n_max must be between 1 and {ZIGZAG_MAX_N}")
@@ -459,56 +460,43 @@ def wedge_bounds_ok(line: Polyline, n: int) -> bool:
 
 
 def verify_P(model: ContinuumModel) -> None:
-    """Raise if any line self-intersects, leaves its wedge, or meets another.
+    """Raise if a line leaves its wedge or self-intersects, or two lines meet off the origin.
 
     Piece ``n`` of ``model`` (counting from 1) is checked as the line ``l_n``.
+    Every segment pair of distinct lines is checked, and first, so a line
+    that strays onto another is reported as a contact of the two lines.
     """
+    _check_line_contacts(model.pieces)
     for n, line in enumerate(model.pieces, start=1):
         if not wedge_bounds_ok(line, n):
             raise RuntimeError(f"line {n} leaves its wedge")
         flag, witness = self_intersects(line, tol=0.0)
         if flag:
             raise RuntimeError(f"line {n} self-intersects at segments {witness}")
-    # angular sector separation: line n spans theta in [0.75, 1.25] * 2**-n,
-    # so consecutive scales are separated by an empty sector
-    for n in range(1, len(model.pieces)):
-        hi_next = 1.25 * 2.0 ** -(n + 1)
-        lo_this = 0.75 * 2.0 ** -n
-        if hi_next >= lo_this:
-            raise RuntimeError("wedges overlap angularly")
-    _check_apex_contacts(model.pieces)
 
 
-def _check_apex_contacts(lines: tuple[Polyline, ...]) -> None:
-    """Near the apex, segment pairs from distinct lines may meet only at 0."""
-    from .geometry import _segment_distance_batch
+def _check_line_contacts(lines: tuple[Polyline, ...]) -> None:
+    """Segments of distinct lines may meet only where both end at the origin.
 
-    near = []
-    for line in lines:
-        starts, ends = line.segments()
-        radius = np.minimum(np.hypot(*starts.T), np.hypot(*ends.T))
-        keep = radius <= 2.0 * _RADIAL_INNER * 2.0 ** -1
-        near.append((starts[keep], ends[keep]))
-    for i in range(len(near)):
-        for j in range(i + 1, len(near)):
-            s1, e1 = near[i]
-            s2, e2 = near[j]
-            if not len(s1) or not len(s2):
-                continue
-            ii, jj = np.meshgrid(np.arange(len(s1)), np.arange(len(s2)), indexing="ij")
-            d = _segment_distance_batch(
-                s1[ii.ravel()], e1[ii.ravel()], s2[jj.ravel()], e2[jj.ravel()]
-            )
-            close = d < 1e-15
-            if close.any():
-                a = s1[ii.ravel()[close]]
-                b = e1[ii.ravel()[close]]
-                # contact must happen at the origin, i.e. both segments touch 0
-                for seg_s, seg_e in ((a, b), (s2[jj.ravel()[close]], e2[jj.ravel()[close]])):
-                    touches = np.minimum(
-                        np.hypot(*seg_s.T), np.hypot(*seg_e.T)
-                    )
-                    if touches.max() > 0:
-                        raise RuntimeError(
-                            f"lines {i + 1} and {j + 1} touch away from the origin"
-                        )
+    One sort-and-prune pass over the segments of all lines; the angle key
+    about the origin keeps each line's sector apart, so few pairs are built.
+    Raises for the smallest pair of lines in contact elsewhere.
+    """
+    segments = [line.segments() for line in lines]
+    starts = np.concatenate([s for s, _ in segments])
+    ends = np.concatenate([e for _, e in segments])
+    label = np.repeat(np.arange(len(lines)), [len(s) for s, _ in segments])
+    at_origin = ~starts.any(axis=1) | ~ends.any(axis=1)
+    tol = 1e-15
+    worst = len(lines) ** 2
+    for i, j in _candidate_pairs(starts, ends, tol):
+        a, b = np.minimum(label[i], label[j]), np.maximum(label[i], label[j])
+        keep = a < b
+        i, j, a, b = i[keep], j[keep], a[keep], b[keep]
+        close = _segment_distance_batch(starts[i], ends[i], starts[j], ends[j]) < tol
+        stray = close & ~(at_origin[i] & at_origin[j])
+        if stray.any():
+            worst = min(worst, int((a * len(lines) + b)[stray].min()))
+    if worst < len(lines) ** 2:
+        a, b = divmod(worst, len(lines))
+        raise RuntimeError(f"lines {a + 1} and {b + 1} touch away from the origin")

@@ -353,7 +353,10 @@ def _parse_map_tokens(tokens: list[str], dim: int, where: str) -> MapSpec:
     if head == "needle_h1":
         if len(args) != 1:
             raise ValueError(f"{where}: needle_h1 takes exactly one sharpness value")
-        spec = squeeze_map(_number(args[0], where), dimension=dim)
+        sharpness = _number(args[0], where)
+        if not 0 < sharpness < math.inf:
+            raise ValueError(f"{where}: needle_h1 sharpness must be finite and positive")
+        spec = squeeze_map(sharpness, dimension=dim)
         if lip is not None or attested:
             spec = replace(spec, lip_bound=lip if lip is not None else spec.lip_bound,
                            weak_attested=attested)

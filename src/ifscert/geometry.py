@@ -17,11 +17,6 @@ Point = np.ndarray
 # bounding-box diagonal.
 DEFAULT_INTERSECT_TOL = 1e-12
 
-# Above this segment count the quadratic all-pairs test gives way to the
-# sort-and-prune test of _intersects_sap (2-D only), which returns the same
-# flag and witness from far fewer pairs.
-_ALLPAIRS_MAX_SEGMENTS = 4000
-
 # Relative rounding slack of the sort-and-prune broad phase: several hundred
 # ulps, far above what its own arithmetic and the narrow phase can lose.
 _SLACK = 1e-13
@@ -201,9 +196,11 @@ def self_intersects(line: Polyline, tol: float | None = None):
 
     Returns ``(flag, witness)`` where witness is the lexicographically
     smallest hitting pair of segment indices. ``tol=0`` means exact contact.
-    Small inputs use a vectorised all-pairs test; 2-D inputs above
-    ``_ALLPAIRS_MAX_SEGMENTS`` segments use :func:`_intersects_sap`, which
-    prunes the pairs first and returns the same flag and witness.
+    A pair hits when its computed distance is at most ``tol`` or, in 2-D,
+    when ``_cross_mask_2d`` flags it; the pair is evaluated in index order.
+    Only the pairs that :func:`_candidate_pairs` yields are evaluated, and it
+    yields every hitting pair, so the answer is that of the all-pairs test
+    at every size and in every dimension.
     """
     starts, ends = line.segments()
     if tol is None:
@@ -212,50 +209,24 @@ def self_intersects(line: Polyline, tol: float | None = None):
         tol = DEFAULT_INTERSECT_TOL * float(np.linalg.norm(hi - lo))
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+    tol = float(tol)
     n = len(starts)
-    if n < 3 and not line.closed:
-        return False, None
-    if line.dimension == 2 and n > _ALLPAIRS_MAX_SEGMENTS:
-        return _intersects_sap(starts, ends, line.closed, float(tol))
-    return _intersects_allpairs(starts, ends, line.closed, float(tol))
-
-
-def _intersects_allpairs(P, Q, closed, tol):
-    two_d = P.shape[1] == 2
-    for ic, jc in _segment_pairs(len(P), closed):
-        p1, q1, p2, q2 = P[ic], Q[ic], P[jc], Q[jc]
+    best = n * n
+    for i, j in _candidate_pairs(starts, ends, tol):
+        a, b = np.minimum(i, j), np.maximum(i, j)
+        keep = (b - a > 1) & (a * n + b < best)
+        if line.closed:
+            keep &= (a > 0) | (b < n - 1)
+        a, b = a[keep], b[keep]
+        p1, q1, p2, q2 = starts[a], ends[a], starts[b], ends[b]
         hit = _segment_distance_batch(p1, q1, p2, q2) <= tol
-        if two_d:
+        if line.dimension == 2:
             hit |= _cross_mask_2d(p1, q1, p2, q2)
         if hit.any():
-            k = int(np.argmax(hit))
-            return True, (int(ic[k]), int(jc[k]))
-    return False, None
-
-
-def _segment_pairs(n, closed):
-    """Yield the non-adjacent segment pairs ``i < j`` in lexicographic order.
-
-    The pairs come in row blocks of about ``_PAIR_CHUNK``, so the first
-    block with a hit holds the smallest hitting pair. A closed line drops
-    ``(0, n - 1)``, which share the closing vertex.
-    """
-    counts = np.arange(n - 2, 0, -1)  # row i pairs with j = i + 2 .. n - 1
-    if closed and n > 2:
-        counts[0] -= 1
-    ends = np.cumsum(counts)
-    start = 0
-    while start < len(counts):
-        base = ends[start] - counts[start]
-        stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")))
-        rows = np.arange(start, stop)
-        c = counts[start:stop]
-        i = np.repeat(rows, c)
-        # j = row + 2 + (position in the block - offset of the row's first pair)
-        j = np.arange(len(i))
-        j -= np.repeat(ends[start:stop] - c - base - rows - 2, c)
-        yield i, j
-        start = stop
+            best = int((a * n + b)[hit].min())
+    if best == n * n:
+        return False, None
+    return True, divmod(best, n)
 
 
 def _segment_distance_batch(p1, q1, p2, q2):
@@ -313,77 +284,6 @@ def _cross_mask_2d(p1, q1, p2, q2):
     return proper | touch
 
 
-def _intersects_sap(P, Q, closed, tol):
-    """Sort-and-prune test for 2-D segments: same answer as the all-pairs test.
-
-    Broad phase: each segment gets an interval under a key, and only pairs
-    whose intervals overlap are candidates. The keys are x, y and the polar
-    angle about the origin and about the bounding-box centre; each key's
-    candidates are counted with ``searchsorted`` before any pair is built,
-    and the key with the fewest is used. Narrow phase: the all-pairs
-    predicate, ``_segment_distance_batch <= tol`` or ``_cross_mask_2d``,
-    evaluated with each pair in index order, so every candidate gets the
-    all-pairs verdict bit for bit. The smallest hitting pair is returned.
-
-    No pair within ``tol`` is pruned. Let M be the largest coordinate
-    magnitude, u the unit roundoff and s = ``_SLACK`` (several hundred u). A
-    computed distance ``<= tol`` means a true distance of at most
-    ``tol (1 + 4u) + 17uM``, and shifting the coordinates to a centre moves
-    a segment by at most 3uM; ``reach = tol (1 + s) + sM`` covers both.
-
-    * x or y: segments within ``reach`` have projections within ``reach``,
-      so each interval's upper end is padded by ``reach``.
-    * Angle about a centre c: let y on segment i and y' on segment j be
-      within ``reach``, and let d_i > reach be the distance from c to
-      segment i. Seen from c, the disc of radius ``reach`` about y subtends
-      a half-angle ``asin(reach / |y - c|) <= asin(reach / d_i)``, so the
-      direction of y' lies within that angle of segment i's angular span,
-      and inside segment j's. Each span is therefore padded by
-      ``asin(reach / d_lo) (1 + s) + s`` radians, where d_lo is the
-      computed d_i less ``s (|a - c| + |b - c|)``, a lower bound on d_i, and
-      the last s covers ``arctan2``'s few-ulp error. This fails only when
-      the short way between the two directions crosses the branch cut at
-      +-pi; then segment i's padded span reaches +-pi. So a segment is
-      "wild", and paired with every segment, when d_lo <= 2 reach (which
-      also keeps ``asin`` to arguments below 1/2, where its rounding error
-      stays a few ulps), when its padded span reaches +-pi, or when that
-      span is at least pi wide (a segment across the cut has a computed
-      span above pi - 2s).
-
-    ``_cross_mask_2d`` flags a touch (a computed zero orientation with the
-    point inside the other segment's box) only within about 50uM, so inside
-    ``reach`` too. A proper crossing also needs overlapping bounding boxes,
-    so rounding-noise orientation signs of disjoint, nearly collinear
-    segments flag only pairs within a few uM of each other (below 3uM
-    over four million random near-collinear pairs), again inside ``reach``.
-    """
-    n = len(P)
-    endpoints = np.concatenate([P, Q])
-    reach = tol * (1 + _SLACK) + _SLACK * float(np.abs(endpoints).max())
-    keys = [_axis_key(P, Q, axis, reach) for axis in (0, 1)]
-    centres = [np.zeros(2), 0.5 * (endpoints.min(axis=0) + endpoints.max(axis=0))]
-    if np.array_equal(centres[0], centres[1]):
-        centres.pop()
-    keys += [_angle_key(P, Q, c, reach) for c in centres]
-    plan = min((_count_candidates(*key) for key in keys), key=lambda p: p[0])
-
-    best = n * n
-    for i, j in _candidate_pairs(*plan[1:], n):
-        a, b = np.minimum(i, j), np.maximum(i, j)
-        key = a * n + b
-        keep = (b - a > 1) & (key < best)
-        if closed:
-            keep &= (a > 0) | (b < n - 1)
-        a, b = a[keep], b[keep]
-        p1, q1, p2, q2 = P[a], Q[a], P[b], Q[b]
-        hit = (_segment_distance_batch(p1, q1, p2, q2) <= tol) | _cross_mask_2d(p1, q1, p2, q2)
-        if hit.any():
-            best = int((a * n + b)[hit].min())
-    if best == n * n:
-        return False, None
-    return True, divmod(best, n)
-
-
 def _axis_key(P, Q, axis, reach):
     """Coordinate intervals along ``axis``, upper ends padded by ``reach``."""
     lo = np.minimum(P[:, axis], Q[:, axis])
@@ -424,8 +324,66 @@ def _count_candidates(lo, hi, wild):
     return int(counts.sum()) + w * (n - w) + w * (w - 1) // 2, order, counts, wild
 
 
-def _candidate_pairs(order, counts, wild, n):
-    """Yield the candidate pairs of a key in chunks of about ``_PAIR_CHUNK``."""
+def _candidate_pairs(P, Q, tol):
+    """Yield candidate segment pairs ``(i, j)`` in chunks; every pair within ``tol`` is among them.
+
+    Each unordered pair of distinct segments comes at most once, in either
+    order. Broad phase: each segment gets an interval under a key, and only
+    pairs whose intervals overlap are candidates. The keys are the
+    coordinates and, in 2-D, the polar angle about the origin and about the
+    bounding-box centre; each key's candidates are counted with
+    ``searchsorted`` before any pair is built, and the key with the fewest
+    is used. The chunks hold about ``_PAIR_CHUNK`` pairs.
+
+    No pair within ``tol`` is left out. Let d be the dimension, M the
+    largest coordinate magnitude, u the unit roundoff and
+    s = ``_SLACK`` max(1, d/2), at least 900u max(1, d/2).
+    ``_segment_distance_batch`` measures the gap between a point on each
+    segment at its clipped parameters; each computed gap component is off
+    by at most 12uM, and the rounded root of the d-term sum of squares
+    loses at most (d/2 + 2)u relative. So a computed distance ``<= tol``
+    means a true distance of at most ``tol (1 + (d + 2)u) + 12 sqrt(d) uM``,
+    and in 2-D shifting the coordinates to a centre moves a segment by at
+    most 3uM; ``reach = tol (1 + s) + sM`` covers both in every dimension.
+
+    * A coordinate: segments within ``reach`` have projections within
+      ``reach``, so each interval's upper end is padded by ``reach``.
+    * Angle about a centre c (2-D): let y on segment i and y' on segment j
+      be within ``reach``, and let d_i > reach be the distance from c to
+      segment i. Seen from c, the disc of radius ``reach`` about y subtends
+      a half-angle ``asin(reach / |y - c|) <= asin(reach / d_i)``, so the
+      direction of y' lies within that angle of segment i's angular span,
+      and inside segment j's. Each span is therefore padded by
+      ``asin(reach / d_lo) (1 + s) + s`` radians, where d_lo is the
+      computed d_i less ``s (|a - c| + |b - c|)``, a lower bound on d_i, and
+      the last s covers ``arctan2``'s few-ulp error. This fails only when
+      the short way between the two directions crosses the branch cut at
+      +-pi; then segment i's padded span reaches +-pi. So a segment is
+      "wild", and paired with every segment, when d_lo <= 2 reach (which
+      also keeps ``asin`` to arguments below 1/2, where its rounding error
+      stays a few ulps), when its padded span reaches +-pi, or when that
+      span is at least pi wide (a segment across the cut has a computed
+      span above pi - 2s).
+
+    ``_cross_mask_2d`` flags a touch (a computed zero orientation with the
+    point inside the other segment's box) only within about 50uM, so inside
+    ``reach`` too. A proper crossing also needs overlapping bounding boxes,
+    so rounding-noise orientation signs of disjoint, nearly collinear
+    segments flag only pairs within a few uM of each other (below 3uM
+    over four million random near-collinear pairs), again inside ``reach``.
+    """
+    n, dim = P.shape
+    endpoints = np.concatenate([P, Q])
+    slack = _SLACK * max(1.0, dim / 2)
+    reach = tol * (1 + slack) + slack * float(np.abs(endpoints).max())
+    keys = [_axis_key(P, Q, axis, reach) for axis in range(dim)]
+    if dim == 2:
+        centres = [np.zeros(2), 0.5 * (endpoints.min(axis=0) + endpoints.max(axis=0))]
+        if np.array_equal(centres[0], centres[1]):
+            centres.pop()
+        keys += [_angle_key(P, Q, c, reach) for c in centres]
+    _, order, counts, wild = min((_count_candidates(*key) for key in keys), key=lambda p: p[0])
+
     cum = np.concatenate([[0], np.cumsum(counts)])
     k = 0
     while k < len(order):

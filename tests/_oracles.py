@@ -98,6 +98,30 @@ def mp_needle_point(x1: float, x2: float, sharpness: float = 100.0, dps: int = 5
         return float(x1m), float(y2)
 
 
+def self_intersects_allpairs(line, tol: float):
+    """``self_intersects`` by brute force over every non-adjacent segment pair.
+
+    Builds all pairs in one ``np.triu_indices`` block, so memory is quadratic
+    in the segment count; only for small lines. A closed line drops the pair
+    ``(0, n - 1)``, which shares the closing vertex.
+    """
+    from ifscert.geometry import _cross_mask_2d, _segment_distance_batch
+
+    P, Q = line.segments()
+    n = len(P)
+    ii, jj = np.triu_indices(n, k=2)
+    if line.closed and n > 2:
+        keep = ~((ii == 0) & (jj == n - 1))
+        ii, jj = ii[keep], jj[keep]
+    hit = _segment_distance_batch(P[ii], Q[ii], P[jj], Q[jj]) <= tol
+    if P.shape[1] == 2:
+        hit |= _cross_mask_2d(P[ii], Q[ii], P[jj], Q[jj])
+    if not hit.any():
+        return False, None
+    k = int(np.argmax(hit))
+    return True, (int(ii[k]), int(jj[k]))
+
+
 # ---------------------------------------------------------------------------
 # per-point text formats: the one-row-at-a-time writers and reader that the
 # chunked ones in ``ifscert.formats`` and ``ifscert.svg`` must match exactly

@@ -109,6 +109,33 @@ def test_certify_p_coverage(tmp_path, capsys):
     assert "witness.p1=" in out
 
 
+def test_build_P_at_n_max_7_exits_0(tmp_path):
+    # l1..l7 hold about 54,600 segments: the check that distinct lines meet
+    # only at the origin must not grow with the product of their sizes
+    out = tmp_path / "P.model"
+    assert run("build", "P", "--n-max", "7", "--out", str(out), "--quiet") == 0
+    model = formats.load_model(str(out))
+    assert len(model.pieces) == 7
+    assert model.marked.keys() == {f"p{n}" for n in range(8)}
+
+
+@pytest.mark.parametrize("kind, meta, label", [
+    ("p-coverage", "meta kind P\nmeta n_max 1\n", "p1"),
+    ("needle-dichotomy", "meta kind needle\nmeta base default\n", "h(p)"),
+], ids=["p-coverage", "needle-dichotomy"])
+def test_certificates_name_a_missing_marked_point(tmp_path, capfd, kind, meta, label):
+    # one polyline and a marked point other than the one the certificate reads
+    model = tmp_path / "m.model"
+    model.write_text(f"dim 2\n{meta}polyline a 2\n0 0\n1 0\nmarked p0 0 0\n")
+    const = tmp_path / "const.ifs"
+    const.write_text("dim 2\naffine 0 0 0 0 0 0\n")
+    rc = run("certify", kind, "--ifs", str(const), "--model", str(model))
+    stdout, err = capfd.readouterr()
+    assert rc == 2
+    assert stdout == ""
+    assert err == f"error: model lacks the marked point {label!r}\n"
+
+
 def test_certify_dichotomy_paths(tmp_path, capsys):
     needle = str(tmp_path / "needle.model")
     run("build", "needle", "--out", needle, "--quiet")
@@ -185,6 +212,9 @@ MALFORMED_INPUTS = {
     "lipneg.ifs": "dim 2\nclosed_form needle_param_scale 0.5 lip=-1\n",
     "lipnan.ifs": "dim 2\nclosed_form needle_param_scale 0.5 lip=nan\n",
     "affnan.ifs": "dim 2\naffine nan 0 0 1 0 0\n",
+    "h1nan.ifs": "dim 2\nneedle_h1 nan\n",
+    "h1neg.ifs": "dim 2\nneedle_h1 -5\n",
+    "h1zero.ifs": "dim 2\nneedle_h1 0\n",
 }
 
 

@@ -223,6 +223,18 @@ def test_build_P_range_check():
         build_P(13)
 
 
+def test_verify_P_finds_lines_touching_away_from_the_origin():
+    # a vertex of l2 moved onto the middle of a tooth leg of l1, at radius
+    # 0.25, far from the apex
+    pm = build_P(3)
+    l1, l2, l3 = pm.pieces
+    v = np.array(l2.vertices)
+    v[3] = 0.5 * (l1.vertices[5] + l1.vertices[6])
+    bad = ContinuumModel((l1, Polyline(v, name="l2"), l3), pm.marked, 2, meta=pm.meta)
+    with pytest.raises(RuntimeError, match="lines 1 and 2 touch away from the origin"):
+        verify_P(bad)
+
+
 def test_wedge_bounds_reject_foreign_line():
     stray = Polyline(np.array([[0.0, 0.0], [1.0, 1.0]]))
     assert not wedge_bounds_ok(stray, 3)

@@ -6,17 +6,14 @@ from ifscert.geometry import (
     ContinuumModel,
     PointCloud,
     Polyline,
-    _ALLPAIRS_MAX_SEGMENTS,
     _cross_mask_2d,
-    _intersects_allpairs,
-    _intersects_sap,
-    _segment_distance_batch,
-    _segment_pairs,
     polar_to_cartesian,
     polyline_length,
     sample_polyline,
     self_intersects,
 )
+
+from _oracles import self_intersects_allpairs
 
 
 def test_polyline_rejects_degenerate_input():
@@ -141,24 +138,22 @@ def test_sweep_agrees_with_allpairs_on_random_walks():
         keep = np.ones(len(pts), dtype=bool)
         keep[1:] = np.linalg.norm(np.diff(pts, axis=0), axis=1) > 1e-9
         line = Polyline(pts[keep])
-        starts, ends = line.segments()
         tol = 1e-9
-        got_sap = _intersects_sap(starts, ends, False, tol)[0]
-        got_pairs = _intersects_allpairs(starts, ends, False, tol)[0]
+        got_sap = self_intersects(line, tol=tol)[0]
+        got_pairs = self_intersects_allpairs(line, tol)[0]
         assert got_sap == got_pairs, f"case {case}"
 
 
 def test_near_miss_past_the_allpairs_limit_is_found():
     # segments 0 and 4 pass 0.707 * tol apart at (1, 0), and segment 0 ends
-    # before segment 4 begins in x; a clean zigzag tail going up pushes the
-    # line past the all-pairs limit so the large-input path must find them
+    # before segment 4 begins in x; a clean zigzag tail going up makes the
+    # line long, and the pair must still be found among its candidates
     tol = 1e-3
     head = [[0.0, 0.0], [1.0, 0.0], [1.0, -1.0], [3.0, -1.0], [3.0, 1.0],
             [1 + tol / 2, tol / 2], [1 + tol / 2, 2.0]]
     k = np.arange(1, 4100)
     tail = np.column_stack([np.where(k % 2 == 1, 1.5, 1 + tol / 2), 2.0 + 0.01 * k])
     line = Polyline(np.vstack([head, tail]))
-    assert len(line.vertices) - 1 > _ALLPAIRS_MAX_SEGMENTS
     assert self_intersects(line, tol=tol) == (True, (0, 4))
     assert self_intersects(line, tol=0.5 * tol) == (False, None)
 
@@ -178,45 +173,20 @@ def test_disjoint_collinear_segments_are_not_a_crossing():
     assert self_intersects(line, tol=0.0) == (False, None)
 
 
-def _allpairs_reference(P, Q, closed, tol):
-    """The all-pairs test over ``np.triu_indices`` in one block."""
-    n = len(P)
-    ii, jj = np.triu_indices(n, k=2)
-    if closed and n > 2:
-        keep = ~((ii == 0) & (jj == n - 1))
-        ii, jj = ii[keep], jj[keep]
-    hit = _segment_distance_batch(P[ii], Q[ii], P[jj], Q[jj]) <= tol
-    if P.shape[1] == 2:
-        hit |= _cross_mask_2d(P[ii], Q[ii], P[jj], Q[jj])
-    if not hit.any():
-        return False, None
-    k = int(np.argmax(hit))
-    return True, (int(ii[k]), int(jj[k]))
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("closed", [False, True])
 def test_allpairs_row_blocks_match_triu_reference(monkeypatch, closed, dim):
+    # candidate pairs come in chunks of about seven, so a witness found in
+    # one chunk must bound the pairs that later chunks can still report
     monkeypatch.setattr(ifscert.geometry, "_PAIR_CHUNK", 7)
-    for n in (3, 4, 5, 9, 23):
-        ii, jj = np.triu_indices(n, k=2)
-        if closed:
-            keep = ~((ii == 0) & (jj == n - 1))
-            ii, jj = ii[keep], jj[keep]
-        blocks = list(_segment_pairs(n, closed))
-        assert len(blocks) > 1 or len(ii) <= 7
-        assert all(len(i) <= 7 or len(set(i)) == 1 for i, _ in blocks)  # a longer row is one block
-        assert np.array_equal(np.concatenate([i for i, _ in blocks]), ii)
-        assert np.array_equal(np.concatenate([j for _, j in blocks]), jj)
     rng = np.random.default_rng(20261018 + dim + 2 * closed)
     hits = 0
     for case in range(30):
         steps = rng.normal(size=(int(rng.integers(4, 26)), dim))
         line = Polyline(np.cumsum(steps, axis=0), closed=closed)
-        starts, ends = line.segments()
         for tol in (0.0, 0.3):
-            got = _intersects_allpairs(starts, ends, closed, tol)
-            assert got == _allpairs_reference(starts, ends, closed, tol), f"case {case} tol {tol}"
+            got = self_intersects(line, tol=tol)
+            assert got == self_intersects_allpairs(line, tol), f"case {case} tol {tol}"
             hits += got[0]
     assert 0 < hits < 60
 

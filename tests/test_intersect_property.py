@@ -1,11 +1,14 @@
-"""Property tests: the sort-and-prune test gives the all-pairs flag and witness.
+"""Property tests: ``self_intersects`` gives the all-pairs flag and witness.
 
-Lines are random walks (Gaussian steps, and unit grid steps, which touch and
-overlap exactly), zigzag lines l1..l4 with a vertex bent across its
-neighbours, lines with a vertex planted next to another segment, and rings
-left open across the negative x-axis, where polar angles wrap. Near misses
-are checked at ``tol`` equal to the computed distance of the planted
-pair, one ulp either side of it, and a relative 1e-9 either side.
+The oracle is ``_oracles.self_intersects_allpairs``, which evaluates every
+non-adjacent segment pair. Lines are random walks in 2-D and 3-D (Gaussian
+steps, and unit grid steps, which touch and overlap exactly; short walks of
+3-10 segments as well as longer ones; open and closed), zigzag lines
+l1..l4 with a vertex bent across its neighbours, lines with a vertex
+planted next to another segment, and rings left open across the negative
+x-axis, where polar angles wrap. Near misses are checked at ``tol`` equal to
+the computed distance of the planted pair, one ulp either side of it, and a
+relative 1e-9 either side.
 """
 
 import numpy as np
@@ -16,27 +19,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifscert.continua import build_zigzag_ln
-from ifscert.geometry import Polyline, _intersects_allpairs, _intersects_sap, _segment_distance_batch
+from ifscert.geometry import Polyline, _segment_distance_batch, self_intersects
+
+from _oracles import self_intersects_allpairs
 
 SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.sampled_from([2, 3])
+# vertex counts of the walks: short lines and longer ones, drawn about equally
+WALK_LENGTHS = st.one_of(st.integers(4, 11), st.integers(12, 80))
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def _assert_agree(vertices, closed, tol):
     line = Polyline(vertices, closed=closed)
-    P, Q = line.segments()
-    got = _intersects_sap(P, Q, closed, tol)
-    want = _intersects_allpairs(P, Q, closed, tol)
-    assert got == want, f"tol={tol!r}: sort-and-prune {got}, all-pairs {want}"
+    got = self_intersects(line, tol=tol)
+    want = self_intersects_allpairs(line, tol)
+    assert got == want, f"tol={tol!r}: self_intersects {got}, all-pairs {want}"
 
 
-def _random_walk(seed, n, grid):
+def _random_walk(seed, n, grid, dim=2):
     rng = np.random.default_rng(seed)
     if grid:
-        steps = rng.integers(-1, 2, size=(n, 2)).astype(float)
-        steps[np.all(steps == 0, axis=1)] = [1.0, 0.0]
+        steps = rng.integers(-1, 2, size=(n, dim)).astype(float)
+        steps[np.all(steps == 0, axis=1), 0] = 1.0
     else:
-        steps = rng.normal(size=(n, 2)) * 0.3
+        steps = rng.normal(size=(n, dim)) * 0.3
     pts = np.cumsum(steps, axis=0)
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
@@ -69,9 +76,16 @@ def _plant_near_miss(v, seed):
     far = [j for j in range(n_seg) if j < k - 2 or j > k + 1]
     j = far[int(rng.integers(len(far)))]
     a, b = v[j], v[j + 1]
-    normal = np.array([a[1] - b[1], b[0] - a[0]]) / np.hypot(*(b - a))
+    # a unit normal: the segment turned a right angle in 2-D, in 3-D its
+    # cross product with the axis it leans on least
+    d = b - a
+    if len(d) == 2:
+        normal = np.array([-d[1], d[0]])
+    else:
+        normal = np.cross(d, np.eye(3)[np.argmin(np.abs(d))])
+    normal /= np.hypot.reduce(normal)
     out = v.copy()
-    out[k] = 0.5 * (a + b) + rng.uniform(1e-6, 1e-2) * np.hypot(*(b - a)) * normal
+    out[k] = 0.5 * (a + b) + rng.uniform(1e-6, 1e-2) * np.hypot.reduce(d) * normal
     if np.any(np.all(out[1:] == out[:-1], axis=1)):
         return out, None
     P, Q = out[:-1], out[1:]
@@ -87,10 +101,10 @@ def _tols_around(d):
 
 
 @PROPERTY
-@given(SEEDS, st.integers(3, 80), st.booleans(), st.booleans(),
+@given(SEEDS, WALK_LENGTHS, st.booleans(), st.booleans(), DIMS,
        st.sampled_from([0.0, 1e-9, 1e-2, 0.1]))
-def test_sap_matches_allpairs_on_random_walks(seed, n, grid, closed, tol):
-    pts = _random_walk(seed, n, grid)
+def test_sap_matches_allpairs_on_random_walks(seed, n, grid, closed, dim, tol):
+    pts = _random_walk(seed, n, grid, dim)
     if len(pts) < 4 or (closed and np.all(pts[0] == pts[-1])):
         return
     _assert_agree(pts, closed, tol)
@@ -115,9 +129,10 @@ def test_sap_matches_allpairs_on_zigzag_near_misses(seed, n, which):
 
 
 @PROPERTY
-@given(SEEDS, st.integers(6, 80), st.booleans(), st.integers(0, 4))
-def test_sap_matches_allpairs_on_random_walk_near_misses(seed, n, grid, which):
-    v, d = _plant_near_miss(_random_walk(seed, n, grid), seed)
+@given(SEEDS, st.one_of(st.integers(6, 11), st.integers(12, 80)), st.booleans(), DIMS,
+       st.integers(0, 4))
+def test_sap_matches_allpairs_on_random_walk_near_misses(seed, n, grid, dim, which):
+    v, d = _plant_near_miss(_random_walk(seed, n, grid, dim), seed)
     if d is None:
         return
     _assert_agree(v, False, _tols_around(d)[which])
