@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import math
 import sys
 
@@ -186,21 +187,17 @@ def _cmd_certify(args) -> int:
     return _emit_certificate(args, cert)
 
 
-def _sniff_profile_csv(path: str) -> bool:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.readline().strip() == "epsilon,pitch,value"
-
-
 def _cmd_plot(args) -> int:
-    if _sniff_profile_csv(args.input):
-        eps, _, vals = formats.load_profile_csv(args.input)
-        text = svg.profile_svg(eps, vals, title=args.title)
-        default_out = args.input + ".svg"
-    else:
-        model = formats.load_model(args.input)
-        text = svg.model_svg(model)
-        default_out = args.input + ".svg"
-    out = args.out or default_out
+    # one open, so that a pipe works: the first line tells a profile CSV from a model
+    with open(args.input, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        lines = itertools.chain([first], fh)
+        if first.strip() == ",".join(formats.PROFILE_HEADER):
+            eps, _, vals = formats.load_profile_csv(args.input, lines)
+            text = svg.profile_svg(eps, vals, title=args.title)
+        else:
+            text = svg.model_svg(formats.load_model(args.input, lines))
+    out = args.out or args.input + ".svg"
     formats.atomic_write(out, text)
     _say(args, f"wrote {out}")
     return EXIT_OK
@@ -279,8 +276,9 @@ def main(argv=None) -> int:
     try:
         _check_numeric_flags(args)
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a failed allocation means an input too large for this machine
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
 
 

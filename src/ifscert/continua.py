@@ -147,7 +147,7 @@ def _needle_zone_points(delta: float, shortcut_scale: float) -> np.ndarray:
         vmax = 1.0 + needle_wave_slope_bound(lo)
         m = int(math.ceil((hi - lo) * vmax / (0.2 * delta)))
         if m + 1 > _MAX_SAMPLE_POINTS:
-            raise MemoryError("needle refinement too fine; raise delta")
+            raise ValueError("needle refinement too fine; raise delta")
         xs = np.linspace(lo, hi, m + 1)
         ys = needle_wave(xs)
         cum = np.concatenate([[0.0], np.cumsum(np.hypot(np.diff(xs), np.diff(ys)))])
@@ -160,7 +160,7 @@ def _needle_zone_points(delta: float, shortcut_scale: float) -> np.ndarray:
     if xs[-1] != 1.0:
         xs = np.append(xs, 1.0)
     if sum(len(p) for p in parts) > _MAX_SAMPLE_POINTS:
-        raise MemoryError("needle refinement too fine; raise delta")
+        raise ValueError("needle refinement too fine; raise delta")
     return np.column_stack((xs, needle_wave(xs)))
 
 
@@ -238,7 +238,7 @@ def _mapped_base_cloud(base: ContinuumModel, sharpness: float, delta: float) -> 
                 m = max(1, int(math.ceil(seg_len * lip / delta)))
                 total += m + 1
                 if total > _MAX_SAMPLE_POINTS:
-                    raise MemoryError("base refinement too fine; raise delta")
+                    raise ValueError("base refinement too fine; raise delta")
                 ts = np.linspace(t0, t1, m + 1)
                 chunks.append(u + ts[:, None] * (v - u))
     pts = np.vstack(chunks)

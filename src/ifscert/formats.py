@@ -23,7 +23,7 @@ import math
 import os
 import stat
 import tempfile
-from dataclasses import replace
+from contextlib import nullcontext
 from itertools import islice
 
 import numpy as np
@@ -31,20 +31,7 @@ import numpy as np
 from . import continua
 from .certify import Certificate
 from .geometry import ContinuumModel, PointCloud, Polyline
-from .ifs import (
-    IfsSpec,
-    KIND_AFFINE,
-    KIND_CLOSED_FORM,
-    KIND_COMPOSITION,
-    KIND_RIPPLE,
-    KIND_SQUEEZE,
-    MapSpec,
-    closed_form_arity,
-    closed_form_map,
-    composed_map,
-    ripple_map,
-    squeeze_map,
-)
+from .ifs import IfsSpec, KIND_AFFINE, KIND_CLOSED_FORM, KIND_COMPOSITION, KIND_RIPPLE, KIND_SQUEEZE, MapSpec
 from .metric import ChainMetricProfile
 
 
@@ -167,15 +154,15 @@ def _chunk_rows(lines: list[str], dim: int):
         return None
 
 
-def _read_vertices(fh, start: int, count: int, dim: int, path: str):
+def _read_vertices(fh, start: int, count: int, dim: int, path: str, size: int | None):
     """Read the next ``count`` rows of ``fh``, line ``start + 1`` first, a chunk at a time.
 
     A row of ``dim`` numbers takes at least ``2 * dim`` bytes (the last one
-    may lack its newline). A count that a regular file could not hold is not
-    allocated: its chunks are parsed and dropped until the block fails.
+    may lack its newline). A count that a regular file of ``size`` bytes
+    could not hold is not allocated: its chunks are parsed and dropped until
+    the block fails. ``size`` is None for a pipe or device.
     """
-    st = os.fstat(fh.fileno())
-    fits = not stat.S_ISREG(st.st_mode) or count * 2 * dim - 1 <= st.st_size
+    fits = size is None or count * 2 * dim - 1 <= size
     rows = np.empty((count, dim)) if fits else None
     for lo in range(0, count, _CHUNK_ROWS):
         want = min(_CHUNK_ROWS, count - lo)
@@ -189,8 +176,8 @@ def _read_vertices(fh, start: int, count: int, dim: int, path: str):
     return rows
 
 
-def _read_model_records(fh, path: str):
-    """The records of a model file, read from ``fh`` line by line."""
+def _read_model_records(fh, path: str, size: int | None):
+    """The records of a model file, read from the lines of ``fh``."""
     dim = None
     meta: dict[str, str] = {}
     pieces: list[Polyline] = []
@@ -221,7 +208,7 @@ def _read_model_records(fh, path: str):
             name, rest = parts[1], parts[2].split()
             count = _number(rest[0], where, int, least=0)
             closed = len(rest) > 1 and rest[1] == "closed"
-            rows = _read_vertices(fh, i, count, dim, path)
+            rows = _read_vertices(fh, i, count, dim, path, size)
             if tag == "polyline":
                 pieces.append(Polyline(rows, closed=closed, name=name))
             else:
@@ -237,16 +224,20 @@ def _read_model_records(fh, path: str):
     return dim, meta, pieces, point_blocks, marked
 
 
-def load_model(path: str) -> ContinuumModel | PointCloud:
+def load_model(path: str, lines=None) -> ContinuumModel | PointCloud:
     """Read a model file back; point-only files come back as clouds.
 
     A default-needle file (``meta kind needle``, ``meta base default``)
     regains its exact resampler, so refinement after a round trip still
-    follows the curve rather than subdividing stored chords.
+    follows the curve rather than subdividing stored chords. ``lines``, when
+    given, iterates the lines of ``path`` opened by the caller, so that a
+    pipe is read once.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") if lines is None else nullcontext(lines) as fh:
+        st = os.stat(path)
+        size = st.st_size if stat.S_ISREG(st.st_mode) else None
         try:
-            dim, meta, pieces, point_blocks, marked = _read_model_records(fh, path)
+            dim, meta, pieces, point_blocks, marked = _read_model_records(fh, path, size)
         except UnicodeDecodeError:
             raise
         except ValueError:
@@ -277,6 +268,12 @@ def load_model(path: str) -> ContinuumModel | PointCloud:
 # function-system files
 
 
+def _map_flags(spec: MapSpec) -> str:
+    """The ``lip=``/``attested`` suffix of a map line or an ``end`` line."""
+    flags = "" if spec.lip_bound is None else f" lip={_fmt(spec.lip_bound)}"
+    return flags + (" attested" if spec.weak_attested else "")
+
+
 def _map_line(spec: MapSpec) -> str:
     if spec.kind == KIND_AFFINE:
         nums = list(spec.matrix.ravel()) + list(spec.offset)
@@ -288,12 +285,9 @@ def _map_line(spec: MapSpec) -> str:
     elif spec.kind == KIND_CLOSED_FORM:
         body = f"closed_form {spec.form} " + " ".join(_fmt(p) for p in spec.params)
     else:
+        # the file format has no nested compositions
         raise ValueError(f"cannot serialize map kind {spec.kind!r} as one line")
-    if spec.lip_bound is not None:
-        body += f" lip={_fmt(spec.lip_bound)}"
-    if spec.weak_attested:
-        body += " attested"
-    return body
+    return body + _map_flags(spec)
 
 
 def ifs_text(ifs: IfsSpec) -> str:
@@ -305,12 +299,7 @@ def ifs_text(ifs: IfsSpec) -> str:
             out.write("begin\n")
             for part in spec.parts:
                 out.write(_map_line(part) + "\n")
-            tail = "end"
-            if spec.lip_bound is not None:
-                tail += f" lip={_fmt(spec.lip_bound)}"
-            if spec.weak_attested:
-                tail += " attested"
-            out.write(tail + "\n")
+            out.write("end" + _map_flags(spec) + "\n")
         else:
             out.write(_map_line(spec) + "\n")
     return out.getvalue()
@@ -332,54 +321,41 @@ def _pop_map_flags(tokens: list[str], where: str):
     return lip, attested
 
 
+def _map_spec(where: str, *args, **kw) -> MapSpec:
+    """``MapSpec(*args, **kw)``, its ``ValueError`` prefixed with ``where``."""
+    try:
+        return MapSpec(*args, **kw)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _parse_map_tokens(tokens: list[str], dim: int, where: str) -> MapSpec:
     lip, attested = _pop_map_flags(tokens, where)
     if not tokens:
         raise ValueError(f"{where}: flags without a map")
-    kw = {"lip_bound": lip, "weak_attested": attested}
     head, args = tokens[0], tokens[1:]
     if head == "affine":
         need = dim * dim + dim
         if len(args) != need:
             raise ValueError(f"{where}: affine needs {need} numbers in dimension {dim}")
-        vals = [_number(a, where) for a in args]
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"{where}: affine coefficients must be finite")
-        matrix = np.array(vals[: dim * dim]).reshape(dim, dim)
-        spec = MapSpec(KIND_AFFINE, dim, matrix=matrix, offset=np.array(vals[dim * dim:]), **kw)
-        if spec.lip_bound is None:
-            spec = replace(spec, lip_bound=float(np.linalg.svd(matrix, compute_uv=False)[0]))
-        return spec
-    if head == "needle_h1":
+        vals = np.array([_number(a, where) for a in args])
+        fields = {"matrix": vals[:dim * dim].reshape(dim, dim), "offset": vals[dim * dim:]}
+    elif head == "needle_h1":
         if len(args) != 1:
             raise ValueError(f"{where}: needle_h1 takes exactly one sharpness value")
-        sharpness = _number(args[0], where)
-        if not 0 < sharpness < math.inf:
-            raise ValueError(f"{where}: needle_h1 sharpness must be finite and positive")
-        spec = squeeze_map(sharpness, dimension=dim)
-        if lip is not None or attested:
-            spec = replace(spec, lip_bound=lip if lip is not None else spec.lip_bound,
-                           weak_attested=attested)
-        return spec
-    if head == "needle_h2":
+        fields = {"sharpness": _number(args[0], where)}
+    elif head == "needle_h2":
         if args:
             raise ValueError(f"{where}: needle_h2 takes no parameters")
-        spec = ripple_map(dimension=dim)
-        if lip is not None or attested:
-            spec = replace(spec, lip_bound=lip, weak_attested=attested)
-        return spec
-    if head == "closed_form":
+        fields = {}
+    elif head == "closed_form":
         if not args:
             raise ValueError(f"{where}: closed_form needs a form name")
-        form, params = args[0], args[1:]
-        try:
-            arity = closed_form_arity(form)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        if len(params) != arity:
-            raise ValueError(f"{where}: {form} takes {arity} parameters")
-        return closed_form_map(form, [_number(p, where) for p in params], dimension=dim, **kw)
-    raise ValueError(f"{where}: unknown map {head!r}")
+        fields = {"form": args[0], "params": tuple(_number(p, where) for p in args[1:])}
+    else:
+        raise ValueError(f"{where}: unknown map {head!r}")
+    # a map line starts with its kind
+    return _map_spec(where, head, dim, lip_bound=lip, weak_attested=attested, **fields)
 
 
 def load_ifs(path: str) -> IfsSpec:
@@ -410,13 +386,9 @@ def load_ifs(path: str) -> IfsSpec:
         elif tokens[0] == "end":
             if block is None:
                 raise ValueError(f"{where}: end without begin")
-            if not block:
-                raise ValueError(f"{where}: empty composition")
             lip, attested = _pop_map_flags(tokens, where)
-            spec = composed_map(*block, lip_bound=lip)
-            if attested:
-                spec = replace(spec, weak_attested=True)
-            maps.append(spec)
+            maps.append(_map_spec(where, KIND_COMPOSITION, dim, parts=tuple(block),
+                                  lip_bound=lip, weak_attested=attested))
             block = None
         else:
             spec = _parse_map_tokens(tokens, dim, where)
@@ -435,10 +407,13 @@ def load_ifs(path: str) -> IfsSpec:
 # profile CSV
 
 
+PROFILE_HEADER = ["epsilon", "pitch", "value"]
+
+
 def profile_csv(profile: ChainMetricProfile) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["epsilon", "pitch", "value"])
+    writer.writerow(PROFILE_HEADER)
     for eps, pitch, val in zip(profile.epsilons, profile.pitches, profile.values):
         writer.writerow([_fmt(eps), _fmt(pitch), "" if math.isinf(val) else _fmt(val)])
     return out.getvalue()
@@ -448,19 +423,23 @@ def save_profile(profile: ChainMetricProfile, path: str) -> None:
     atomic_write(path, profile_csv(profile))
 
 
-def load_profile_csv(path: str):
-    """Return (epsilons, pitches, values); blank values read back as inf."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["epsilon", "pitch", "value"]:
-        raise ValueError(f"{path}: not a profile CSV (bad header)")
-    eps, pitch, vals = [], [], []
-    for row in rows[1:]:
-        if len(row) != 3:
-            raise ValueError(f"{path}: malformed profile row {row!r}")
-        eps.append(float(row[0]))
-        pitch.append(float(row[1]))
-        vals.append(math.inf if row[2] == "" else float(row[2]))
+def load_profile_csv(path: str, lines=None):
+    """Return (epsilons, pitches, values); blank values read back as inf.
+
+    ``lines`` is as for :func:`load_model`.
+    """
+    with open(path, "r", encoding="utf-8", newline="") if lines is None else nullcontext(lines) as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != PROFILE_HEADER:
+            raise ValueError(f"{path}: not a profile CSV (bad header)")
+        eps, pitch, vals = [], [], []
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 3:
+                raise ValueError(f"{where}: malformed profile row {row!r}")
+            eps.append(_number(row[0], where))
+            pitch.append(_number(row[1], where))
+            vals.append(math.inf if row[2] == "" else _number(row[2], where))
     return np.array(eps), np.array(pitch), np.array(vals)
 
 
@@ -496,21 +475,22 @@ def parse_certificate(text: str) -> dict:
     for i, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
+        where = f"certificate line {i + 1}"
         if "=" not in line:
-            raise ValueError(f"certificate line {i + 1} is not key=value")
+            raise ValueError(f"{where} is not key=value")
         key, value = line.split("=", 1)
         if key == "margin":
-            info[key] = float(value)
+            info[key] = _number(value, where)
         elif key in ("claim", "verdict"):
             info[key] = value
         elif key.startswith("param."):
             info["params"][key[6:]] = value
         elif key.startswith("witness."):
-            info["witnesses"].append((key[8:], np.array([float(v) for v in value.split()])))
+            info["witnesses"].append((key[8:], np.array([_number(v, where) for v in value.split()])))
         elif key == "note":
             info["notes"].append(value)
         else:
-            raise ValueError(f"certificate line {i + 1}: unknown key {key!r}")
+            raise ValueError(f"{where}: unknown key {key!r}")
     for required in ("claim", "verdict", "margin"):
         if required not in info:
             raise ValueError(f"certificate is missing {required}")

@@ -9,7 +9,7 @@ empirical estimates only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -38,10 +38,19 @@ _INT_KEY_LIMIT = 4e15
 class MapSpec:
     """Declarative description of one map of an iterated function system.
 
-    ``parts`` of a composition are applied first-listed-first. ``lip_bound``
-    is a Lipschitz bound on ``region`` (a ``(2, dim)`` box) or globally when
-    no region is given; it is certified for the kinds listed in
-    :func:`certified_lipschitz` and otherwise only as declared by the author.
+    Construction checks and completes every spec, from code or from a file:
+    ``affine`` needs a finite ``(dim, dim)`` matrix and ``(dim,)`` offset;
+    ``needle_h1`` (squeeze) needs ``0 < sharpness < inf``, and its region
+    defaults to the canonical box ``[0, 1] x [-1, 1]^(dim - 1)``;
+    ``needle_h2`` (ripple) needs ``dim >= 2``; ``closed_form`` needs a
+    registered form, its number of params and ``dim == 2``; a
+    ``composition`` needs parts, all of dimension ``dim``, applied
+    first-listed-first.
+
+    ``lip_bound`` is a Lipschitz bound on ``region`` (a ``(2, dim)`` box), or
+    globally when no region is given. A declared bound stays as given; else
+    it is :func:`certified_lipschitz` on ``region``, else for a composition
+    the product of its parts' bounds when all have one, else None.
     """
 
     kind: str
@@ -63,25 +72,53 @@ class MapSpec:
             raise ValueError("dimension must be at least 1")
         if self.lip_bound is not None and not self.lip_bound >= 0:
             raise ValueError(f"a Lipschitz bound must be >= 0, not {self.lip_bound!r}")
+        dim = self.dimension
         if self.kind == KIND_AFFINE:
             m = np.asarray(self.matrix, dtype=float)
             b = np.asarray(self.offset, dtype=float)
-            if m.shape != (self.dimension, self.dimension) or b.shape != (self.dimension,):
+            if m.shape != (dim, dim) or b.shape != (dim,):
                 raise ValueError("affine map needs a square matrix and matching offset")
+            if not (np.isfinite(m).all() and np.isfinite(b).all()):
+                raise ValueError("affine coefficients must be finite")
             m.setflags(write=False)
             b.setflags(write=False)
             object.__setattr__(self, "matrix", m)
             object.__setattr__(self, "offset", b)
-        if self.kind == KIND_COMPOSITION and not self.parts:
-            raise ValueError("composition needs at least one part")
-        if self.kind == KIND_CLOSED_FORM and self.form not in _CLOSED_FORMS:
-            raise ValueError(f"unknown closed form {self.form!r}")
+        elif self.kind == KIND_SQUEEZE:
+            if not 0 < self.sharpness < math.inf:
+                raise ValueError("needle_h1 sharpness must be finite and positive")
+            if self.region is None:
+                box = np.vstack([np.r_[0.0, np.full(dim - 1, -1.0)], np.ones(dim)])
+                object.__setattr__(self, "region", box)
+        elif self.kind == KIND_RIPPLE:
+            if dim < 2:
+                raise ValueError("needle_h2 needs dimension at least 2")
+        elif self.kind == KIND_CLOSED_FORM:
+            if self.form not in _CLOSED_FORMS:
+                raise ValueError(f"unknown closed form {self.form!r}")
+            arity = _CLOSED_FORMS[self.form][0]
+            if len(self.params) != arity:
+                raise ValueError(f"{self.form} takes {arity} parameters, got {len(self.params)}")
+            if dim != 2:
+                raise ValueError("closed needle forms live in dimension 2")
+            object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        else:
+            if not self.parts:
+                raise ValueError("empty composition: a composition needs at least one part")
+            if any(p.dimension != dim for p in self.parts):
+                raise ValueError(f"every part of a composition needs dimension {dim}")
         if self.region is not None:
             r = np.asarray(self.region, dtype=float)
-            if r.shape != (2, self.dimension) or np.any(r[0] > r[1]):
+            if r.shape != (2, dim) or np.any(r[0] > r[1]):
                 raise ValueError("region must be a (2, dim) box with lo <= hi")
             r.setflags(write=False)
             object.__setattr__(self, "region", r)
+        if self.lip_bound is None:
+            lip = certified_lipschitz(self, self.region)
+            part_lips = [p.lip_bound for p in self.parts]
+            if lip is None and self.kind == KIND_COMPOSITION and None not in part_lips:
+                lip = float(np.prod(part_lips))
+            object.__setattr__(self, "lip_bound", lip)
 
 
 def _closed_param_scale(params, pts):
@@ -108,14 +145,8 @@ _CLOSED_FORMS = {
 }
 
 
-def closed_form_arity(form: str) -> int:
-    if form not in _CLOSED_FORMS:
-        raise ValueError(f"unknown closed form {form!r}")
-    return _CLOSED_FORMS[form][0]
-
-
 def eval_map(spec: MapSpec, points) -> np.ndarray:
-    """Apply the map to an ``(N, dim)`` array (or a single point)."""
+    """Apply the map (checked when built) to an ``(N, dim)`` array or one point."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     single = np.asarray(points).ndim == 1
     if pts.shape[1] != spec.dimension:
@@ -135,61 +166,32 @@ def eval_map(spec: MapSpec, points) -> np.ndarray:
         for part in spec.parts:
             out = eval_map(part, out)
     else:
-        arity, fn = _CLOSED_FORMS[spec.form]
-        if len(spec.params) != arity:
-            raise ValueError(f"{spec.form} takes {arity} parameters")
-        if spec.dimension != 2:
-            raise ValueError("closed needle forms live in dimension 2")
-        t = fn(spec.params, pts)
+        t = _CLOSED_FORMS[spec.form][1](spec.params, pts)
         out = np.column_stack((t, continua.needle_wave(t)))
     return out[0] if single else out
 
 
+# shorthands for ``MapSpec(kind, dim, ...)``, which checks and completes the spec
+
+
 def affine_map(matrix, offset, dimension: int | None = None, **kw) -> MapSpec:
-    """Affine map with its exact spectral-norm Lipschitz bound filled in."""
-    m = np.asarray(matrix, dtype=float)
-    dim = dimension or m.shape[0]
-    spec = MapSpec(KIND_AFFINE, dim, matrix=m, offset=np.asarray(offset, dtype=float), **kw)
-    if spec.lip_bound is None:
-        spec = replace(spec, lip_bound=float(np.linalg.svd(m, compute_uv=False)[0]))
-    return spec
+    return MapSpec(KIND_AFFINE, dimension or len(matrix), matrix=matrix, offset=offset, **kw)
 
 
-def squeeze_map(sharpness: float = continua.DEFAULT_SHARPNESS, dimension: int = 2,
-                region=None) -> MapSpec:
-    """The needle squeeze on its canonical box, with a certified bound."""
-    if region is None:
-        region = np.vstack([np.full(dimension, -1.0), np.ones(dimension)])
-        region[0, 0] = 0.0
-    spec = MapSpec(KIND_SQUEEZE, dimension, sharpness=sharpness, region=np.asarray(region, dtype=float))
-    return replace(spec, lip_bound=certified_lipschitz(spec, spec.region))
+def squeeze_map(sharpness: float = continua.DEFAULT_SHARPNESS, dimension: int = 2, **kw) -> MapSpec:
+    return MapSpec(KIND_SQUEEZE, dimension, sharpness=sharpness, **kw)
 
 
-def ripple_map(dimension: int = 2, region=None) -> MapSpec:
-    spec = MapSpec(KIND_RIPPLE, dimension, region=None if region is None else np.asarray(region, dtype=float))
-    if spec.region is not None:
-        spec = replace(spec, lip_bound=certified_lipschitz(spec, spec.region))
-    return spec
+def ripple_map(dimension: int = 2, **kw) -> MapSpec:
+    return MapSpec(KIND_RIPPLE, dimension, **kw)
 
 
 def closed_form_map(form: str, params, dimension: int = 2, **kw) -> MapSpec:
-    """Curve reparametrisation given by a registered closed form."""
-    params = tuple(float(p) for p in params)
-    if len(params) != closed_form_arity(form):
-        raise ValueError(f"{form} takes {closed_form_arity(form)} parameters, got {len(params)}")
-    return MapSpec(KIND_CLOSED_FORM, dimension, form=form, params=params, **kw)
+    return MapSpec(KIND_CLOSED_FORM, dimension, form=form, params=tuple(params), **kw)
 
 
-def composed_map(*parts: MapSpec, region=None, lip_bound=None) -> MapSpec:
-    dim = parts[0].dimension
-    spec = MapSpec(KIND_COMPOSITION, dim, parts=tuple(parts),
-                   region=None if region is None else np.asarray(region, dtype=float),
-                   lip_bound=lip_bound)
-    if spec.lip_bound is None and spec.region is not None:
-        spec = replace(spec, lip_bound=certified_lipschitz(spec, spec.region))
-    if spec.lip_bound is None and all(p.lip_bound is not None for p in parts):
-        spec = replace(spec, lip_bound=float(np.prod([p.lip_bound for p in parts])))
-    return spec
+def composed_map(*parts: MapSpec, **kw) -> MapSpec:
+    return MapSpec(KIND_COMPOSITION, parts[0].dimension if parts else 1, parts=parts, **kw)
 
 
 def interval_image(spec: MapSpec, box: np.ndarray) -> np.ndarray:

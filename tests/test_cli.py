@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from ifscert import formats
+import ifscert
+from ifscert import continua, formats
 from ifscert.cli import main
 from ifscert.geometry import PointCloud
 
@@ -182,6 +187,42 @@ def test_plot_is_deterministic(tmp_path, halves_ifs):
     assert open(c, "rb").read() == open(d, "rb").read()
 
 
+def test_plot_reads_a_piped_input_once(tmp_path):
+    model = str(tmp_path / "l1.model")
+    csv_out = str(tmp_path / "profile.csv")
+    run("build", "zigzag", "--n", "1", "--out", model, "--quiet")
+    run("chain", model, "p0", "p1", "--eps0", "1e-3", "--kmax", "2", "--out", csv_out, "--quiet")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(ifscert.__file__)), os.environ.get("PYTHONPATH", "")])}
+    for source in (model, csv_out):
+        by_path, by_pipe = str(tmp_path / "path.svg"), str(tmp_path / "pipe.svg")
+        assert run("plot", source, "--title", "t", "--out", by_path, "--quiet") == 0
+        with open(source, "rb") as fh:
+            text = fh.read()
+        # ``input`` goes through a pipe, which can be read only once
+        piped = subprocess.run(
+            [sys.executable, "-m", "ifscert.cli", "plot", "/dev/stdin", "--title", "t", "--out", by_pipe, "--quiet"],
+            input=text, capture_output=True, env=env)
+        assert piped.returncode == 0, piped.stderr
+        assert open(by_pipe, "rb").read() == open(by_path, "rb").read()
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 2.7 GiB"), "Unable to allocate 2.7 GiB"),
+])
+def test_memory_error_exits_2(tmp_path, capfd, monkeypatch, exc, message):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(continua, "build_needle", exhausted)
+    rc = run("build", "needle", "--out", str(tmp_path / "needle.model"))
+    stdout, err = capfd.readouterr()
+    assert rc == 2
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+
+
 def test_usage_and_input_errors(tmp_path, capsys):
     assert run("frobnicate") == 2
     assert run() == 2
@@ -215,6 +256,11 @@ MALFORMED_INPUTS = {
     "h1nan.ifs": "dim 2\nneedle_h1 nan\n",
     "h1neg.ifs": "dim 2\nneedle_h1 -5\n",
     "h1zero.ifs": "dim 2\nneedle_h1 0\n",
+    "cf3d.ifs": "dim 3\nclosed_form needle_param_scale 0.5 lip=0.5\n",
+    "h2dim1.ifs": "dim 1\nneedle_h2 lip=0.5\n",
+    "badeps.csv": "epsilon,pitch,value\nx,0.01,1\n",
+    "badvalue.csv": "epsilon,pitch,value\n0.1,0.01,zz\n",
+    "shortrow.csv": "epsilon,pitch,value\n0.1,0.01\n",
 }
 
 
@@ -226,6 +272,8 @@ def test_malformed_input_files_exit_2_with_their_line(tmp_path, capsys, name):
     assert run("build", "zigzag", "--n", "1", "--out", str(model), "--quiet") == 0
     if name.endswith(".ifs"):
         rc = run("certify", "fixed-set", "--ifs", str(bad), "--model", str(model))
+    elif name.endswith(".csv"):
+        rc = run("plot", str(bad), "--out", str(tmp_path / "out.svg"))
     else:
         rc = run("chain", str(bad), "a", "b")
     err = capsys.readouterr().err
@@ -260,8 +308,9 @@ def test_chain_rejects_non_finite_schedule_flags(tmp_path, capfd, flag, value):
     (["attractor", "--box", "nan,0,1,1"], "--box"),
     (["build", "needle", "--sharpness", "nan"], "sharpness"),
     (["build", "needle", "--sharpness", "inf"], "sharpness"),
+    (["build", "needle", "--delta", "1e-9"], "needle refinement too fine; raise delta"),
 ], ids=["delta-inf", "delta-nan", "delta-negative", "eps0-nan", "tol-inf", "max-iter-0", "box-inf", "box-nan",
-        "sharpness-nan", "sharpness-inf"])
+        "sharpness-nan", "sharpness-inf", "delta-too-fine"])
 def test_numeric_flags_must_be_finite_and_positive(tmp_path, halves_ifs, capfd, argv, name):
     seg = tmp_path / "seg.model"
     seg.write_text("dim 2\npolyline seg 2\n0 0\n1 0\nmarked a 0 0\n")

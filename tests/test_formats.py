@@ -21,6 +21,7 @@ from ifscert.formats import (
 from ifscert.geometry import ContinuumModel, PointCloud, Polyline
 from ifscert.ifs import (
     IfsSpec,
+    MapSpec,
     affine_map,
     closed_form_map,
     composed_map,
@@ -129,6 +130,35 @@ def test_ifs_loader_fills_affine_bounds_and_reads_comments(tmp_path):
     assert all(m.lip_bound == 0.5 for m in ifs.maps)
 
 
+def test_every_way_to_build_a_map_gives_one_lip_bound(tmp_path):
+    # MapSpec, its constructor and the file reader agree bit for bit
+    A, b = np.array([[0.5, 0.1], [0.0, 0.25]]), np.array([0.0, 0.5])
+    affine = "affine 0.5 0.1 0 0.25 0 0.5"
+    lines = [affine, "needle_h1 100", "needle_h2", "closed_form needle_param_tent 0.8 0.3",
+             "begin", "needle_h1 100", affine, "end"]
+    path = tmp_path / "kinds.ifs"
+    path.write_text("dim 2\nmode weak\n" + "".join(f"{ln} attested\n" for ln in lines))
+    squeeze = MapSpec("needle_h1", 2, sharpness=100.0)
+    direct = (
+        MapSpec("affine", 2, matrix=A, offset=b),
+        squeeze,
+        MapSpec("needle_h2", 2),
+        MapSpec("closed_form", 2, form="needle_param_tent", params=(0.8, 0.3)),
+        MapSpec("composition", 2, parts=(squeeze, MapSpec("affine", 2, matrix=A, offset=b))),
+    )
+    built = (
+        affine_map(A, b),
+        squeeze_map(100.0),
+        ripple_map(),
+        closed_form_map("needle_param_tent", (0.8, 0.3)),
+        composed_map(squeeze_map(100.0), affine_map(A, b)),
+    )
+    bounds = [[spec.lip_bound for spec in specs] for specs in zip(direct, built, load_ifs(str(path)).maps)]
+    assert all(lips[0] == lips[1] == lips[2] for lips in bounds)
+    assert [lips[0] is None for lips in bounds] == [False, False, True, True, False]
+    assert bounds[4][0] == bounds[0][0] * bounds[1][0]
+
+
 def test_ifs_loader_rejects_malformed_files(tmp_path):
     cases = {
         "arity.ifs": ("dim 2\naffine 1 0 0\n", "affine needs 6 numbers"),
@@ -227,6 +257,10 @@ def test_certificate_parse_flags_gaps():
         parse_certificate("claim=c\nverdict=inconclusive\nmargin=0\nbonus=1\n")
     with pytest.raises(ValueError, match="key=value"):
         parse_certificate("claim\n")
+    with pytest.raises(ValueError, match="^certificate line 3: 'abc' is not a valid float$"):
+        parse_certificate("claim=c\nverdict=inconclusive\nmargin=abc\n")
+    with pytest.raises(ValueError, match="^certificate line 4: 'zz' is not a valid float$"):
+        parse_certificate("claim=c\nverdict=certified\nmargin=0.5\nwitness.p=1 zz\n")
 
 
 def test_seventeen_digit_floats_are_exact(tmp_path):

@@ -52,6 +52,25 @@ def test_map_spec_validation():
     with pytest.raises(ValueError, match="region"):
         MapSpec("affine", 2, matrix=np.eye(2), offset=np.zeros(2),
                 region=np.array([[1.0, 1.0], [0.0, 0.0]]))
+    # every rule holds however the map is built
+    for sharpness in (-5.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sharpness"):
+            squeeze_map(sharpness)
+    with pytest.raises(ValueError, match="finite"):
+        affine_map([[math.nan, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    with pytest.raises(ValueError, match="parameters"):
+        MapSpec("closed_form", 2, form="needle_param_scale", params=(0.5, 0.1))
+    with pytest.raises(ValueError, match="dimension 2"):
+        closed_form_map("needle_param_scale", (0.5,), dimension=3)
+    with pytest.raises(ValueError, match="dimension"):
+        ripple_map(dimension=1)
+    with pytest.raises(ValueError, match="dimension"):
+        composed_map(affine_map([[0.5]], [0.0]), squeeze_map(100.0))
+    with pytest.raises(ValueError, match="dimension"):
+        MapSpec("composition", 3, parts=(squeeze_map(100.0, dimension=3), ripple_map()))
+    with pytest.raises(ValueError, match="empty composition"):
+        composed_map()
+    assert MapSpec("affine", 2, matrix=0.5 * np.eye(2), offset=np.zeros(2)).lip_bound == 0.5
 
 
 @pytest.mark.parametrize("lip", [-1.0, -1e-300, math.nan, -math.inf])
