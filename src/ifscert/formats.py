@@ -31,7 +31,7 @@ import numpy as np
 from . import continua
 from .certify import Certificate
 from .geometry import ContinuumModel, PointCloud, Polyline
-from .ifs import IfsSpec, KIND_AFFINE, KIND_CLOSED_FORM, KIND_COMPOSITION, KIND_RIPPLE, KIND_SQUEEZE, MapSpec
+from .ifs import IfsSpec, KIND_AFFINE, KIND_CLOSED_FORM, KIND_COMPOSITION, KIND_RIPPLE, KIND_SQUEEZE, MapSpec, squeeze_box
 from .metric import ChainMetricProfile
 
 
@@ -160,10 +160,11 @@ def _read_vertices(fh, start: int, count: int, dim: int, path: str, size: int | 
     A row of ``dim`` numbers takes at least ``2 * dim`` bytes (the last one
     may lack its newline). A count that a regular file of ``size`` bytes
     could not hold is not allocated: its chunks are parsed and dropped until
-    the block fails. ``size`` is None for a pipe or device.
+    the block fails. ``size`` is None for a pipe or device, whose length is
+    unknown: its chunks are kept and joined once the count is read.
     """
-    fits = size is None or count * 2 * dim - 1 <= size
-    rows = np.empty((count, dim)) if fits else None
+    rows = np.empty((count, dim)) if size is not None and count * 2 * dim - 1 <= size else None
+    blocks = [np.empty((0, dim))] if size is None else None
     for lo in range(0, count, _CHUNK_ROWS):
         want = min(_CHUNK_ROWS, count - lo)
         lines = list(islice(fh, want))
@@ -173,7 +174,9 @@ def _read_vertices(fh, start: int, count: int, dim: int, path: str, size: int | 
             block = _parse_vertices(lines, start + lo, want, dim, path)
         if rows is not None:
             rows[lo:lo + want] = block
-    return rows
+        elif blocks is not None:
+            blocks.append(block)
+    return rows if blocks is None else np.concatenate(blocks)
 
 
 def _read_model_records(fh, path: str, size: int | None):
@@ -269,7 +272,22 @@ def load_model(path: str, lines=None) -> ContinuumModel | PointCloud:
 
 
 def _map_flags(spec: MapSpec) -> str:
-    """The ``lip=``/``attested`` suffix of a map line or an ``end`` line."""
+    """The ``lip=``/``attested`` suffix of a map line or an ``end`` line.
+
+    A line keeps a map's bound but not the region it holds on. Reading the
+    line back gives a squeeze the canonical box and any other map no region,
+    so a map with another region is refused: its bound would come back
+    claimed on a larger domain.
+    """
+    if spec.kind == KIND_SQUEEZE:
+        kept = np.array_equal(spec.region, squeeze_box(spec.dimension))
+    else:
+        kept = spec.region is None
+    if not kept:
+        raise ValueError(
+            f"cannot save a {spec.kind} map with region {spec.region.tolist()}: "
+            "function-system files keep no region"
+        )
     flags = "" if spec.lip_bound is None else f" lip={_fmt(spec.lip_bound)}"
     return flags + (" attested" if spec.weak_attested else "")
 

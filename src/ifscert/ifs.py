@@ -34,6 +34,11 @@ _IDENTITY_EDGE = 1.0 - 1e-9
 _INT_KEY_LIMIT = 4e15
 
 
+def squeeze_box(dim: int) -> np.ndarray:
+    """The canonical box ``[0, 1] x [-1, 1]^(dim - 1)``, a squeeze map's default region."""
+    return np.vstack([np.r_[0.0, np.full(dim - 1, -1.0)], np.ones(dim)])
+
+
 @dataclass(frozen=True)
 class MapSpec:
     """Declarative description of one map of an iterated function system.
@@ -88,8 +93,7 @@ class MapSpec:
             if not 0 < self.sharpness < math.inf:
                 raise ValueError("needle_h1 sharpness must be finite and positive")
             if self.region is None:
-                box = np.vstack([np.r_[0.0, np.full(dim - 1, -1.0)], np.ones(dim)])
-                object.__setattr__(self, "region", box)
+                object.__setattr__(self, "region", squeeze_box(dim))
         elif self.kind == KIND_RIPPLE:
             if dim < 2:
                 raise ValueError("needle_h2 needs dimension at least 2")

@@ -9,6 +9,7 @@ module.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,11 +27,16 @@ _MIN_HOP_PITCHES = 3.0
 # Relative tolerance used when snapping query points onto cloud samples.
 _SNAP_SLACK = 1.000001
 
-# Edge budget for a single neighbour graph. Building a 2-D graph peaks at
-# about 53 bytes an edge (index pairs, coordinate differences, weights), so
-# about 4.2 GB at the budget; the kept graph (24 bytes an edge) plus the CSR
-# matrix and transpose of a query stay below that peak.
+# Edge budget for a single neighbour graph. The kept graph costs 12 bytes an
+# edge (an int32 column index and a float64 weight), about 1 GB at the
+# budget. The sweep writes kept edges straight into those arrays, so a build
+# adds only its per-point ranges and one chunk of candidates: 13 bytes an
+# edge in all at the needle's finest README scale. A query's Dijkstra pass
+# adds the transpose, another 12.
 _MAX_EDGES = 8e7
+
+# Candidate pairs measured at a time while the sweep builds a graph.
+_SWEEP_CHUNK = 1 << 18
 
 # Verdict thresholds for chain profiles.
 DIVERGENCE_SLOPE = -0.15
@@ -59,27 +65,48 @@ def hausdorff(a: PointCloud, b: PointCloud, trees: tuple[cKDTree, cKDTree] | Non
 
 @dataclass(frozen=True)
 class EpsGraph:
-    """Undirected neighbour graph with hops strictly below ``epsilon``."""
+    """Undirected neighbour graph with hops strictly below ``epsilon``.
+
+    Vertex ``k`` of ``adjacency`` is sample ``order[k]`` of ``cloud``; the
+    sweep that built the graph numbers the samples in that order.
+    """
 
     cloud: PointCloud
     epsilon: float
-    edges: np.ndarray   # (E, 2) int64, each pair once with i < j, in no set order
-    weights: np.ndarray  # (E,) float64 Euclidean hop lengths
+    order: np.ndarray  # (n,) vertex -> index into cloud.points
+    adjacency: csr_matrix = field(repr=False, compare=False)  # upper triangle, sorted rows
     tree: cKDTree = field(repr=False, compare=False)  # over cloud.points, for snapping
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.adjacency.nnz
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(E, 2) sample indices of each edge, once with i < j, in the order of ``weights``."""
+        a = self.order[np.repeat(np.arange(len(self.order)), np.diff(self.adjacency.indptr))]
+        b = self.order[self.adjacency.indices]
+        return np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(E,) float64 Euclidean hop lengths."""
+        return self.adjacency.data
 
     def matrix(self) -> csr_matrix:
         """Upper-triangle adjacency matrix: pass ``directed=False`` to ``dijkstra``."""
-        n = len(self.cloud)
-        return csr_matrix((self.weights, (self.edges[:, 0], self.edges[:, 1])), shape=(n, n))
+        return self.adjacency
 
 
 def eps_graph(cloud: PointCloud, epsilon: float) -> EpsGraph:
-    """Build the neighbour graph of ``cloud`` with hop lengths strictly below ``epsilon``."""
-    if epsilon <= 0:
+    """Build the neighbour graph of ``cloud`` with hop lengths strictly below ``epsilon``.
+
+    The pairs come from :func:`_sweep_ranges` and are measured a chunk at a
+    time. A graph whose candidate count exceeds the edge budget is counted
+    exactly with the KD-tree before it is built, and refused if its pairs
+    within ``epsilon`` still exceed the budget.
+    """
+    if not epsilon > 0:  # NaN too: every pair would be a candidate
         raise ValueError("epsilon must be positive")
     if epsilon < _MIN_HOP_PITCHES * cloud.pitch:
         warnings.warn(
@@ -88,20 +115,143 @@ def eps_graph(cloud: PointCloud, epsilon: float) -> EpsGraph:
             stacklevel=2,
         )
     tree = cKDTree(cloud.points)
-    # refuse graphs that would not fit in memory before materializing them
-    approx_pairs = (tree.count_neighbors(tree, epsilon) - len(cloud)) // 2
-    if approx_pairs > _MAX_EDGES:
-        raise ValueError(
-            f"epsilon graph would have about {approx_pairs:.2g} edges "
-            f"(limit {_MAX_EDGES:.2g}); use a coarser pitch or a smaller epsilon"
-        )
-    pairs = tree.query_pairs(r=epsilon, output_type="ndarray").astype(np.int64, copy=False)
-    d = np.take(cloud.points, pairs[:, 0], axis=0) - np.take(cloud.points, pairs[:, 1], axis=0)
-    w = np.sqrt(np.einsum("ij,ij->i", d, d))
-    keep = w < epsilon  # query_pairs includes hops equal to epsilon
-    if not keep.all():
-        pairs, w = pairs[keep], w[keep]
-    return EpsGraph(cloud, float(epsilon), pairs, w, tree)
+    order, starts, lengths = _sweep_ranges(cloud.points, epsilon)
+    if lengths.sum() > _MAX_EDGES:
+        # refuse graphs that would not fit in memory before materializing them
+        approx_pairs = (tree.count_neighbors(tree, epsilon) - len(cloud)) // 2
+        if approx_pairs > _MAX_EDGES:
+            raise ValueError(
+                f"epsilon graph would have about {approx_pairs:.2g} edges "
+                f"(limit {_MAX_EDGES:.2g}); use a coarser pitch or a smaller epsilon"
+            )
+    adjacency = _sweep_csr(cloud.points[order], epsilon, starts, lengths)
+    return EpsGraph(cloud, float(epsilon), order, adjacency, tree)
+
+
+def _sweep_ranges(points: np.ndarray, epsilon: float):
+    """Sort ``points`` for the sweep and give each its candidate neighbours.
+
+    Returns ``order``, the sweep's numbering of the points, and two
+    ``(n, c)`` arrays: the candidates of vertex ``k`` are the vertices
+    ``starts[k, t] + 0 .. lengths[k, t] - 1`` for each column ``t``. All of
+    them are later than ``k``, and they increase along a row.
+
+    The sweep cuts space into cells of width ``reach``, a padded ``epsilon``,
+    on every axis but the last, and sorts the points by (cell, last
+    coordinate), cells in lexicographic order. The candidates of a point are
+    the later points of its own cell whose last coordinate is at most its
+    own plus ``reach``, then, in each of the (3^(d-1) - 1)/2 cells whose
+    offset is lexicographically positive and at most 1 on every axis, the
+    points whose last coordinate lies within ``reach`` of its own. Each
+    unordered pair of points is considered at most once.
+
+    No pair that the filter of :func:`_sweep_csr` keeps is left out. Let u
+    be the unit roundoff, M the largest coordinate magnitude, g the
+    computed difference of two points and w = fl(sqrt(S)) the computed
+    length, S the rounded sum of the squares of g. The terms of S are not
+    negative and rounding is monotone, so S >= fl(g_k^2) on every axis k.
+    If |g_k| >= 2^-510 that square is normal, so w >= |g_k|(1 - 2u), and
+    ``w < epsilon`` gives |g_k| < epsilon/(1 - 2u); otherwise |g_k| < 2^-510.
+    A difference of two floats is off by at most u relative, so the true
+    coordinate gap is below r = max(epsilon, 2^-510)(1 + 4u).
+    ``reach = max(epsilon, 2^-510)(1 + 2^-40) + 2^-48 M``, evaluated in
+    floating point, has reach (1 - u) >= r + 2uM with room to spare.
+
+    * Cells: fl(x/reach) is off by at most uM/reach, so two points less
+      than r apart on an axis have quotients less than (r + 2uM)/reach < 1
+      apart, and their cells differ by at most one. The quotients stay below
+      2^49 in magnitude, so the cell numbers are exact integers.
+    * Last coordinate: fl(y + reach) >= y + reach - u(M + reach) >= y + r
+      and fl(y - reach) <= y - r, so the searched window holds every point
+      less than r away on that axis.
+
+    A kept pair therefore lies in one cell, or in two cells whose offset,
+    seen from the lexicographically smaller one, is one of the forward
+    offsets; and it lies within the window of the point that comes first.
+    """
+    n, dim = points.shape
+    reach = max(epsilon, 2.0 ** -510) * (1 + 2.0 ** -40) + 2.0 ** -48 * float(np.abs(points).max())
+    y = points[:, -1]
+    by_y = np.argsort(y, kind="stable")
+    y_sorted = y[by_y]
+    cells = np.floor(points[:, :-1] / reach).astype(np.int64)
+    # stable sorts: within a cell the points keep their order in ``by_y``
+    order = by_y[np.lexsort(cells[by_y].T[::-1])] if dim > 1 else by_y
+    cells = cells[order]
+    head = np.ones(n, dtype=bool)
+    head[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    cell = np.cumsum(head) - 1  # dense cell numbers, in lexicographic order
+    y_rank = np.empty(n, dtype=np.int64)
+    y_rank[by_y] = np.arange(n)
+    # strictly increasing along the sweep: (cell, rank in y) as one integer
+    key = cell * n + y_rank[order]
+    ys = y[order]
+    lo = np.searchsorted(y_sorted, ys - reach, "left")
+    hi = np.searchsorted(y_sorted, ys + reach, "right")
+    starts = [np.arange(1, n + 1)]
+    ends = [np.searchsorted(key, cell * n + hi)]
+    heads = np.ascontiguousarray(cells[head])
+    for offset in itertools.product((-1, 0, 1), repeat=dim - 1):
+        if offset <= (0,) * (dim - 1):
+            continue
+        target = heads + offset
+        at = np.minimum(np.searchsorted(_lex_keys(heads), _lex_keys(target)), len(heads) - 1)
+        # -1 for a cell with no points: its key range lies below every key
+        nb = np.where((heads[at] == target).all(axis=1), at, -1)[cell]
+        starts.append(np.searchsorted(key, nb * n + lo))
+        ends.append(np.searchsorted(key, nb * n + hi))
+    starts = np.stack(starts, axis=1)
+    return order, starts, np.stack(ends, axis=1) - starts
+
+
+def _lex_keys(rows: np.ndarray) -> np.ndarray:
+    """The rows of an int64 array as records that compare lexicographically."""
+    fields = [(f"a{k}", rows.dtype) for k in range(rows.shape[1])]
+    return np.ascontiguousarray(rows).view(fields).ravel()
+
+
+def _sweep_csr(points: np.ndarray, epsilon: float, starts, lengths) -> csr_matrix:
+    """Upper-triangle CSR graph of the candidates whose computed length is below ``epsilon``.
+
+    ``points`` are in the sweep's order. Candidates are measured a chunk of
+    whole rows at a time, each hop as ``sqrt(einsum(d, d))`` with
+    ``d = p_row - p_col``; they arrive by row with increasing columns, so
+    the kept ones are the CSR arrays as they stand.
+    """
+    n = len(points)
+    per_row = lengths.sum(axis=1)
+    cum = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(per_row, out=cum[1:])
+    index = np.int32 if n < 2 ** 31 else np.int64
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    # room for every candidate within the budget; only the pages that the
+    # kept edges fill are ever written, so only they take memory
+    room = int(min(cum[-1], _MAX_EDGES))
+    indices, data = np.empty(room, dtype=index), np.empty(room)
+    r0 = 0
+    while r0 < n:
+        r1 = max(r0 + 1, int(np.searchsorted(cum, cum[r0] + _SWEEP_CHUNK, "right")) - 1)
+        ln = lengths[r0:r1].ravel()
+        first = np.cumsum(ln) - ln
+        col = np.arange(first[-1] + ln[-1]) + np.repeat(starts[r0:r1].ravel() - first, ln)
+        d = np.repeat(points[r0:r1], per_row[r0:r1], axis=0)
+        d -= np.take(points, col, axis=0)
+        w = np.einsum("ij,ij->i", d, d)
+        np.sqrt(w, out=w)
+        keep = np.flatnonzero(w < epsilon)
+        # kept candidates before the end of each row
+        indptr[r0 + 1:r1 + 1] = indptr[r0] + np.searchsorted(keep, cum[r0 + 1:r1 + 1] - cum[r0])
+        if indptr[r1] > len(data):
+            indices.resize(2 * indptr[r1], refcheck=False)
+            data.resize(2 * indptr[r1], refcheck=False)
+        indices[indptr[r0]:indptr[r1]] = col[keep]
+        data[indptr[r0]:indptr[r1]] = w[keep]
+        r0 = r1
+    indices.resize(indptr[-1], refcheck=False)  # shrinks in place, without a copy
+    data.resize(indptr[-1], refcheck=False)
+    adjacency = csr_matrix((data, indices, indptr.astype(index)), shape=(n, n))
+    adjacency.has_sorted_indices = True
+    return adjacency
 
 
 def _snap_indices(graph: EpsGraph, points: np.ndarray) -> np.ndarray:
@@ -124,7 +274,9 @@ def _pair_distances(graph: EpsGraph, ends: np.ndarray) -> np.ndarray:
     One Dijkstra pass serves every distinct source; pairs that snap to one
     sample get 0 without a search.
     """
-    src, dst = _snap_indices(graph, ends.reshape(-1, ends.shape[-1])).reshape(-1, 2).T
+    vertex = np.empty_like(graph.order)
+    vertex[graph.order] = np.arange(len(vertex))
+    src, dst = vertex[_snap_indices(graph, ends.reshape(-1, ends.shape[-1]))].reshape(-1, 2).T
     out = np.zeros(len(src))
     live = src != dst
     if live.any():

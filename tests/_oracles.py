@@ -53,6 +53,38 @@ def chain_bruteforce(points: np.ndarray, i: int, j: int, epsilon: float) -> floa
     return float(out[j])
 
 
+def chain_profiles_reference(model, pairs, eps0: float, k_max: int, pitch_ratio: float = 10.0):
+    """Chain values of ``chain_profiles`` through a KD-tree pair search.
+
+    Each scale refines the model, takes the pairs from ``cKDTree.query_pairs``,
+    keeps the hops below epsilon, builds the CSR matrix from COO triples and
+    runs Dijkstra once per pair, with the endpoints snapped by the KD-tree.
+    Returns a ``(len(pairs), k_max + 1)`` array.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+    from scipy.spatial import cKDTree
+
+    dim = model.dimension
+    ends = np.array([[model.resolve(x), model.resolve(y)] for x, y in pairs], dtype=float)
+    epsilons = eps0 * 0.5 ** np.arange(k_max + 1)
+    values = np.empty((len(ends), k_max + 1))
+    for k, eps in enumerate(epsilons):
+        cloud = model.refine(float(eps / pitch_ratio))
+        points = cloud.points
+        tree = cKDTree(points)
+        ij = tree.query_pairs(r=float(eps), output_type="ndarray")
+        d = points[ij[:, 0]] - points[ij[:, 1]]
+        w = np.sqrt(np.einsum("ij,ij->i", d, d))
+        keep = w < eps
+        n = len(points)
+        graph = csr_matrix((w[keep], (ij[keep, 0], ij[keep, 1])), shape=(n, n))
+        src, dst = tree.query(ends.reshape(-1, dim))[1].reshape(-1, 2).T
+        for m, (a, b) in enumerate(zip(src, dst)):
+            values[m, k] = dijkstra(graph, directed=False, indices=int(a))[b]
+    return values
+
+
 def chaos_game(maps: list[tuple[np.ndarray, np.ndarray]], n_points: int, seed: int,
                burn: int = 64, walkers: int = 4096) -> np.ndarray:
     """Random-iteration sample of the attractor of affine contractions.

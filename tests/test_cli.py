@@ -205,6 +205,13 @@ def test_plot_reads_a_piped_input_once(tmp_path):
             input=text, capture_output=True, env=env)
         assert piped.returncode == 0, piped.stderr
         assert open(by_pipe, "rb").read() == open(by_path, "rb").read()
+    # a pipe has no size to bound a vertex count by: the stream must run out
+    # before anything is allocated for the count
+    piped = subprocess.run(
+        [sys.executable, "-m", "ifscert.cli", "plot", "/dev/stdin", "--out", str(tmp_path / "huge.svg")],
+        input=b"dim 2\nmeta pitch 1\npoints c 100000000000\n", capture_output=True, env=env)
+    assert piped.returncode == 2
+    assert piped.stderr == b"error: /dev/stdin: truncated vertex block at line 4\n"
 
 
 @pytest.mark.parametrize("exc, message", [

@@ -116,6 +116,32 @@ def test_ifs_roundtrip_all_map_kinds(tmp_path):
     assert [p.kind for p in back.maps[1].parts] == ["needle_h1", "needle_h2"]
 
 
+@pytest.mark.parametrize("spec", [
+    # a bound of 4.54 holds only for x1 >= 0.5; near x1 = 1e-4 the ripple
+    # stretches 9.4e5 times
+    ripple_map(region=[[0.5, -1], [1, 1]], weak_attested=True),
+    # a bound of 1.000001 on the small box, below the canonical box's
+    squeeze_map(100.0, region=[[0, -0.1], [0.1, 0.1]], weak_attested=True),
+    composed_map(squeeze_map(100.0), ripple_map(), region=[[0.5, -1], [1, 1]],
+                 weak_attested=True),
+], ids=["ripple", "squeeze", "composition"])
+def test_save_ifs_refuses_a_region_the_file_cannot_keep(tmp_path, spec):
+    path = tmp_path / "maps.ifs"
+    with pytest.raises(ValueError, match=f"cannot save a {spec.kind} map with region .*keep no region"):
+        save_ifs(IfsSpec((spec,), mode="weak"), str(path))
+    assert not path.exists()
+
+
+def test_save_ifs_keeps_the_regions_a_reload_rebuilds(tmp_path):
+    path = str(tmp_path / "maps.ifs")
+    squeeze = squeeze_map(100.0, region=[[0, -1], [1, 1]], weak_attested=True)
+    save_ifs(IfsSpec((squeeze, ripple_map(weak_attested=True)), mode="weak"), path)
+    back = load_ifs(path)
+    assert np.array_equal(back.maps[0].region, squeeze.region)
+    assert back.maps[0].lip_bound == squeeze.lip_bound
+    assert back.maps[1].region is None
+
+
 def test_ifs_loader_fills_affine_bounds_and_reads_comments(tmp_path):
     p = tmp_path / "halves.ifs"
     p.write_text(

@@ -1,9 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from ifscert import metric
 from ifscert.continua import build_needle
 from ifscert.geometry import ContinuumModel, PointCloud, Polyline, sample_polyline
 from ifscert.metric import (
@@ -76,6 +79,12 @@ def test_eps_graph_matches_all_pairs_oracle():
             assert got[key] == pytest.approx(w, rel=1e-15, abs=0.0), key
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+def test_eps_graph_needs_a_positive_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        eps_graph(_segment_cloud(0.01), epsilon)
+
+
 def test_eps_graph_warns_when_epsilon_hits_the_pitch():
     cloud = _segment_cloud(0.01)
     with pytest.warns(UserWarning, match="below"):
@@ -87,6 +96,83 @@ def test_eps_graph_refuses_oversized_graphs():
     cloud = PointCloud(rng.uniform(size=(20000, 2)) * 0.01, 1e-4)
     with pytest.raises(ValueError, match="edges"):
         eps_graph(cloud, 1.0)
+
+
+class _CountingTree(cKDTree):
+    """A KD-tree that records its pair searches and pair counts."""
+
+    calls: list[str] = []
+
+    def count_neighbors(self, *args, **kwargs):
+        self.calls.append("count_neighbors")
+        return super().count_neighbors(*args, **kwargs)
+
+    def query_pairs(self, *args, **kwargs):
+        self.calls.append("query_pairs")
+        return super().query_pairs(*args, **kwargs)
+
+
+def _guarded_cloud():
+    """A cloud whose sweep candidates outnumber its pairs within epsilon, and both counts."""
+    rng = np.random.default_rng(11)
+    points, epsilon = rng.uniform(size=(600, 2)), 0.08
+    candidates = int(metric._sweep_ranges(points, epsilon)[2].sum())
+    tree = cKDTree(points)
+    exact = (tree.count_neighbors(tree, epsilon) - len(points)) // 2
+    assert candidates > exact
+    return PointCloud(points, 0.01), epsilon, candidates, exact
+
+
+def test_eps_graph_within_budget_needs_no_kdtree_pair_search(monkeypatch):
+    monkeypatch.setattr(metric, "cKDTree", _CountingTree)
+    monkeypatch.setattr(_CountingTree, "calls", [])
+    cloud, epsilon, candidates, exact = _guarded_cloud()
+    monkeypatch.setattr(metric, "_MAX_EDGES", candidates)
+    graph = eps_graph(cloud, epsilon)
+    assert graph.edge_count == exact
+    assert _CountingTree.calls == []
+    assert graph.matrix() is graph.matrix()  # stored, not rebuilt
+
+
+def test_eps_graph_counts_exactly_when_the_candidates_exceed_the_budget(monkeypatch):
+    monkeypatch.setattr(metric, "cKDTree", _CountingTree)
+    monkeypatch.setattr(_CountingTree, "calls", [])
+    cloud, epsilon, candidates, exact = _guarded_cloud()
+    # over the budget by the candidate bound, within it by the exact count
+    monkeypatch.setattr(metric, "_MAX_EDGES", exact)
+    graph = eps_graph(cloud, epsilon)
+    assert graph.edge_count == exact
+    assert _CountingTree.calls == ["count_neighbors"]
+    # over the budget by the exact count: refused with that count
+    monkeypatch.setattr(metric, "_MAX_EDGES", exact - 1)
+    message = f"epsilon graph would have about {exact:.2g} edges (limit {exact - 1:.2g})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        eps_graph(cloud, epsilon)
+
+
+def test_sweep_buffers_grow_past_the_budget(monkeypatch):
+    cloud, epsilon, _, exact = _guarded_cloud()
+    want = eps_graph(cloud, epsilon).matrix()
+    monkeypatch.setattr(metric, "_MAX_EDGES", 1)
+    order, starts, lengths = metric._sweep_ranges(cloud.points, epsilon)
+    got = metric._sweep_csr(cloud.points[order], epsilon, starts, lengths)
+    assert got.nnz == exact
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_eps_graph_keeps_hops_whose_squares_underflow(dim):
+    # 3e-161 squared is subnormal and rounds down, so the computed hop is
+    # shorter than its one nonzero coordinate gap
+    points = np.zeros((2, dim))
+    points[1, -1] = 3e-161
+    hop = float(np.sqrt(np.einsum("ij,ij->i", points[1:], points[1:]))[0])
+    epsilon = 2.9995e-161
+    assert hop < epsilon < points[1, -1]
+    graph = eps_graph(PointCloud(points, 1e-170), epsilon)
+    assert graph.edges.tolist() == [[0, 1]]
+    assert graph.weights.tolist() == [hop]
 
 
 def test_chain_distance_on_segment():
