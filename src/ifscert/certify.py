@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from .continua import needle_offset
 from .geometry import ContinuumModel, PointCloud, Polyline, polyline_length, sample_polyline
 from .ifs import IfsSpec, MapSpec, classify_contraction, eval_map, hutchinson
-from .metric import chain_profiles, hausdorff
+from .metric import chain_profiles, hausdorff, nearest_samples
 
 VERDICT_CERTIFIED = "certified"
 VERDICT_REFUTED = "refuted"
@@ -269,8 +269,7 @@ def needle_dichotomy_check(
 
 
 def _snap_to_cloud(cloud: PointCloud, pt: np.ndarray) -> np.ndarray:
-    idx = int(cKDTree(cloud.points).query(pt)[1])
-    return cloud.points[idx]
+    return cloud.points[nearest_samples(cloud.points, pt[None, :])[1][0]]
 
 
 def _dichotomy_fixed_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, cloud):

@@ -340,11 +340,17 @@ def _pop_map_flags(tokens: list[str], where: str):
 
 
 def _map_spec(where: str, *args, **kw) -> MapSpec:
-    """``MapSpec(*args, **kw)``, its ``ValueError`` prefixed with ``where``."""
+    """``MapSpec(*args, **kw)``, its ``ValueError`` prefixed with ``where``.
+
+    A squeeze builds its box in the file's ``dim``; a ``dim`` too large for
+    memory is a bad file too.
+    """
     try:
         return MapSpec(*args, **kw)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+    except MemoryError as exc:
+        raise ValueError(f"{where}: out of memory building the map ({exc})") from None
 
 
 def _parse_map_tokens(tokens: list[str], dim: int, where: str) -> MapSpec:
@@ -444,20 +450,28 @@ def save_profile(profile: ChainMetricProfile, path: str) -> None:
 def load_profile_csv(path: str, lines=None):
     """Return (epsilons, pitches, values); blank values read back as inf.
 
-    ``lines`` is as for :func:`load_model`.
+    Epsilons and pitches must be finite and positive, values blank or at
+    least 0, as :func:`profile_csv` writes them. ``lines`` is as for
+    :func:`load_model`.
     """
     with open(path, "r", encoding="utf-8", newline="") if lines is None else nullcontext(lines) as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != PROFILE_HEADER:
-            raise ValueError(f"{path}: not a profile CSV (bad header)")
-        eps, pitch, vals = [], [], []
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 3:
-                raise ValueError(f"{where}: malformed profile row {row!r}")
-            eps.append(_number(row[0], where))
-            pitch.append(_number(row[1], where))
-            vals.append(math.inf if row[2] == "" else _number(row[2], where))
+        try:
+            if next(reader, None) != PROFILE_HEADER:
+                raise ValueError(f"{path}: not a profile CSV (bad header)")
+            eps, pitch, vals = [], [], []
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if len(row) != 3:
+                    raise ValueError(f"{where}: malformed profile row {row!r}")
+                e, p = _number(row[0], where), _number(row[1], where)
+                if not (0 < e < math.inf and 0 < p < math.inf):
+                    raise ValueError(f"{where}: epsilon and pitch must be finite and positive")
+                eps.append(e)
+                pitch.append(p)
+                vals.append(math.inf if row[2] == "" else _number(row[2], where, least=0))
+        except csv.Error as exc:  # a field past the csv module's size limit, say
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return np.array(eps), np.array(pitch), np.array(vals)
 
 

@@ -444,12 +444,13 @@ def attractor(ifs: IfsSpec, seed_cloud: PointCloud, tol: float = 1e-3,
         raise ValueError(f"max_iter must be at least 1, not {max_iter}")
     lam = ifs.contraction_factor
     current = seed_cloud
-    tree = cKDTree(current.points)
+    # sliding-midpoint trees: each serves two queries, too few to repay median splits
+    tree = cKDTree(current.points, balanced_tree=False)
     steps: list[float] = []
     for _ in range(max_iter):
         nxt = hutchinson(ifs, current)
         # each cloud's tree serves two steps: as the new cloud, then as the old
-        nxt_tree = cKDTree(nxt.points)
+        nxt_tree = cKDTree(nxt.points, balanced_tree=False)
         step = hausdorff(nxt, current, trees=(nxt_tree, tree))
         steps.append(step)
         current, tree = nxt, nxt_tree

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,6 +39,10 @@ _MAX_EDGES = 8e7
 # Candidate pairs measured at a time while the sweep builds a graph.
 _SWEEP_CHUNK = 1 << 18
 
+# Every this-many-th point is queried without a bound to cap the rest of a
+# Hausdorff pass (see _nearest_distances).
+_CAP_STRIDE = 64
+
 # Verdict thresholds for chain profiles.
 DIVERGENCE_SLOPE = -0.15
 CONVERGENCE_REL_STEP = 0.01
@@ -48,19 +53,64 @@ def hausdorff(a: PointCloud, b: PointCloud, trees: tuple[cKDTree, cKDTree] | Non
     """Hausdorff distance between two clouds (exact, two nearest-neighbour passes).
 
     ``trees`` are KD-trees over ``a.points`` and ``b.points`` built by the
-    caller, who may reuse them; by default both are built here. With
-    ``witness``, return ``(distance, in_a, point)``: the point farthest from
-    the other cloud, and whether it belongs to ``a`` (ties go to ``a``).
+    caller, who may reuse them, balanced or not; by default both are built
+    here. With ``witness``, return ``(distance, in_a, point)``: the point
+    farthest from the other cloud, and whether it belongs to ``a`` (ties go
+    to ``a``).
+
+    Each pass is :func:`_nearest_distances`: it returns every point's exact
+    distance to the other cloud, the same floats as one unbounded query, so
+    the distance, the side and the witness are too.
     """
     ta, tb = trees if trees is not None else (cKDTree(a.points), cKDTree(b.points))
-    d_ab = tb.query(a.points, k=1)[0]
-    d_ba = ta.query(b.points, k=1)[0]
+    d_ab = _nearest_distances(tb, a.points)
+    d_ba = _nearest_distances(ta, b.points)
     gap = float(max(d_ab.max(), d_ba.max()))
     if not witness:
         return gap
     in_a = bool(d_ab.max() >= d_ba.max())
     far = a.points[int(np.argmax(d_ab))] if in_a else b.points[int(np.argmax(d_ba))]
     return gap, in_a, far
+
+
+def _nearest_distances(tree: cKDTree, points: np.ndarray) -> np.ndarray:
+    """Distance from each row of ``points`` to its nearest point in ``tree``, exactly.
+
+    Only the largest distance decides a Hausdorff distance, so the search is
+    capped. Every ``_CAP_STRIDE``-th point is queried without a bound. The
+    largest of those distances, ``cap``, is attained by a point, so it is a
+    lower bound on the largest distance of all. Every point is then queried
+    with ``distance_upper_bound=cap``, which lets the search skip each
+    subtree farther than ``cap``. A finite answer is that point's nearest
+    distance: the nearest point lies within the bound, so the search reaches
+    it, and the distance of a pair is computed the same way on every path
+    through any tree, so it is the float an unbounded query returns. A point
+    that comes back ``inf`` has nothing within the bound, and is queried
+    again without it; every point that attains the maximum is among them.
+    So the array equals one unbounded query's bit for bit, and the stride
+    changes the speed, never the result. A ``cap`` of 0 (every sampled
+    point on the tree) would bound nothing, so then every point gets the
+    plain query.
+
+    Queries run on every CPU this process may use; each point is answered on
+    its own, so the result does not depend on the worker count.
+    """
+    workers = _query_workers()
+    cap = tree.query(points[::_CAP_STRIDE], workers=workers)[0].max()
+    if not cap > 0:
+        return tree.query(points, workers=workers)[0]
+    dist = tree.query(points, distance_upper_bound=cap, workers=workers)[0]
+    far = np.flatnonzero(np.isinf(dist))
+    dist[far] = tree.query(points[far], workers=workers)[0]
+    return dist
+
+
+def _query_workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -75,7 +125,6 @@ class EpsGraph:
     epsilon: float
     order: np.ndarray  # (n,) vertex -> index into cloud.points
     adjacency: csr_matrix = field(repr=False, compare=False)  # upper triangle, sorted rows
-    tree: cKDTree = field(repr=False, compare=False)  # over cloud.points, for snapping
 
     @property
     def edge_count(self) -> int:
@@ -114,10 +163,10 @@ def eps_graph(cloud: PointCloud, epsilon: float) -> EpsGraph:
             "chain values at this resolution are unreliable",
             stacklevel=2,
         )
-    tree = cKDTree(cloud.points)
     order, starts, lengths = _sweep_ranges(cloud.points, epsilon)
     if lengths.sum() > _MAX_EDGES:
         # refuse graphs that would not fit in memory before materializing them
+        tree = cKDTree(cloud.points)
         approx_pairs = (tree.count_neighbors(tree, epsilon) - len(cloud)) // 2
         if approx_pairs > _MAX_EDGES:
             raise ValueError(
@@ -125,7 +174,7 @@ def eps_graph(cloud: PointCloud, epsilon: float) -> EpsGraph:
                 f"(limit {_MAX_EDGES:.2g}); use a coarser pitch or a smaller epsilon"
             )
     adjacency = _sweep_csr(cloud.points[order], epsilon, starts, lengths)
-    return EpsGraph(cloud, float(epsilon), order, adjacency, tree)
+    return EpsGraph(cloud, float(epsilon), order, adjacency)
 
 
 def _sweep_ranges(points: np.ndarray, epsilon: float):
@@ -254,10 +303,39 @@ def _sweep_csr(points: np.ndarray, epsilon: float, starts, lengths) -> csr_matri
     return adjacency
 
 
+def nearest_samples(samples: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance to and index of the nearest row of ``samples`` for each row of ``points``.
+
+    An exact scan, for a handful of points, in place of a KD-tree over all
+    the samples. Each squared distance is summed axis by axis in order, as
+    scipy's KD-tree query sums it in up to seven dimensions, so the nearest
+    distance is the query's float, and so is the nearest sample wherever one
+    sample is nearest. Which of several equally near samples a query returns
+    depends on how it walks the tree. So when the scan finds such a tie, or
+    the points have more than seven axes, the tree is built and its answers
+    returned.
+    """
+    if samples.shape[1] < 8:
+        scans = [_scan_nearest(samples, pt) for pt in points]
+        if None not in scans:
+            return np.array([d for d, _ in scans]), np.array([i for _, i in scans], dtype=np.intp)
+    return cKDTree(samples).query(points)
+
+
+def _scan_nearest(samples: np.ndarray, pt: np.ndarray) -> tuple[float, int] | None:
+    """(distance, index) of the one sample nearest to ``pt``; None if several tie."""
+    sq = np.zeros(len(samples))
+    for axis in range(samples.shape[1]):
+        gap = samples[:, axis] - pt[axis]
+        sq += gap * gap
+    hits = np.flatnonzero(sq == sq.min())
+    return (math.sqrt(sq[hits[0]]), int(hits[0])) if len(hits) == 1 else None
+
+
 def _snap_indices(graph: EpsGraph, points: np.ndarray) -> np.ndarray:
     """Index of the sample nearest to each row of ``points``, within one pitch."""
     cloud = graph.cloud
-    dist, idx = graph.tree.query(points)
+    dist, idx = nearest_samples(cloud.points, points)
     far = np.flatnonzero(dist > cloud.pitch * _SNAP_SLACK)
     if len(far):
         k = far[0]

@@ -85,6 +85,25 @@ def chain_profiles_reference(model, pairs, eps0: float, k_max: int, pitch_ratio:
     return values
 
 
+def hausdorff_reference(a, b, witness: bool = False):
+    """``metric.hausdorff`` as two plain KD-tree passes.
+
+    Balanced trees, one unbounded single-threaded query per point, and the
+    same witness rule: the farthest point, on ``a``'s side when the two
+    sides tie, the first such point of its cloud.
+    """
+    from scipy.spatial import cKDTree
+
+    d_ab = cKDTree(b.points).query(a.points, k=1, workers=1)[0]
+    d_ba = cKDTree(a.points).query(b.points, k=1, workers=1)[0]
+    gap = float(max(d_ab.max(), d_ba.max()))
+    if not witness:
+        return gap
+    in_a = bool(d_ab.max() >= d_ba.max())
+    far = a.points[int(np.argmax(d_ab))] if in_a else b.points[int(np.argmax(d_ba))]
+    return gap, in_a, far
+
+
 def chaos_game(maps: list[tuple[np.ndarray, np.ndarray]], n_points: int, seed: int,
                burn: int = 64, walkers: int = 4096) -> np.ndarray:
     """Random-iteration sample of the attractor of affine contractions.

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -77,6 +78,28 @@ def test_attractor_writes_cloud_and_report(tmp_path, halves_ifs, capsys):
     rows = open(report).read().splitlines()
     assert rows[0] == "iteration,step"
     assert len(rows) > 3
+
+
+def test_triangle_attractor_bytes_are_pinned(tmp_path, capsys):
+    # the set-map step's KD-trees and capped parallel queries may change
+    # speed, never these bytes: digests of the model, the step report and
+    # the plot from the default 3 x 3 seed grid over the unit box
+    ifs = tmp_path / "tri.ifs"
+    ifs.write_text(
+        "dim 2\nmode strict\n"
+        "affine 0.5 0 0 0.5 0 0\naffine 0.5 0 0 0.5 0.5 0\naffine 0.5 0 0 0.5 0.25 0.5\n"
+    )
+    model, report, plot = (str(tmp_path / name) for name in ("tri.model", "tri.csv", "tri.svg"))
+    assert run("attractor", str(ifs), "--tol", "5e-3", "--out", model, "--report", report) == 0
+    assert "converged=True iterations=8 points=38276" in capsys.readouterr().out
+    assert run("plot", model, "--out", plot, "--quiet") == 0
+    digests = {os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest()
+               for p in (model, report, plot)}
+    assert digests == {
+        "tri.model": "f5942efbcd888834c5c41e95fea7355740e77da732ea150a9ed1f94eebd47a95",
+        "tri.csv": "7ad1f3f0e3f150841a79a28eb6000cc97d84d636f8d6b56857e7bbce3007253d",
+        "tri.svg": "d27701658ee30e6469b322df5249329cf876736803010312d9a3f28e5461c846",
+    }
 
 
 def test_attractor_rejects_bad_box(halves_ifs, capsys):
@@ -212,6 +235,22 @@ def test_plot_reads_a_piped_input_once(tmp_path):
         input=b"dim 2\nmeta pitch 1\npoints c 100000000000\n", capture_output=True, env=env)
     assert piped.returncode == 2
     assert piped.stderr == b"error: /dev/stdin: truncated vertex block at line 4\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # a zero scale has no place on the log axis: the SVG held nan coordinates
+    ("epsilon,pitch,value\n0,0.01,1\n0.05,0.005,2\n", ":2: epsilon and pitch must be finite and positive"),
+    # the csv module's own error escaped as a traceback
+    ("epsilon,pitch,value\n0.1,0.01," + "1" * 140_000 + "\n", ":2: field larger than field limit"),
+], ids=["zero-epsilon", "long-field"])
+def test_plot_refuses_a_profile_no_chain_writes(tmp_path, capfd, text, message):
+    profile = tmp_path / "p.csv"
+    profile.write_text(text)
+    assert run("plot", str(profile), "--out", str(tmp_path / "p.svg")) == 2
+    stdout, err = capfd.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"error: {profile}{message}")
+    assert not (tmp_path / "p.svg").exists()
 
 
 @pytest.mark.parametrize("exc, message", [

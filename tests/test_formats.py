@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,34 @@ def test_profile_loader_rejects_foreign_csv(tmp_path):
     p.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="bad header"):
         load_profile_csv(str(p))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,0.01,1", "epsilon and pitch must be finite and positive"),
+    ("-0.1,0.01,1", "epsilon and pitch must be finite and positive"),
+    ("1e-400,0.01,1", "epsilon and pitch must be finite and positive"),
+    ("nan,0.01,1", "epsilon and pitch must be finite and positive"),
+    ("inf,0.01,1", "epsilon and pitch must be finite and positive"),
+    ("0.1,0,1", "epsilon and pitch must be finite and positive"),
+    ("0.1,0.01,nan", "'nan' is not >= 0"),
+    ("0.1,0.01,-1", "'-1' is not >= 0"),
+    ("0.1,0.01," + "1" * 140_000, "field larger than field limit"),
+], ids=["eps0", "eps-neg", "eps-underflow", "eps-nan", "eps-inf", "pitch0", "value-nan",
+        "value-neg", "long-field"])
+def test_profile_loader_refuses_what_no_profile_holds(tmp_path, row, message):
+    # a plot of these drew nan coordinates, or the csv module's own error escaped
+    p = tmp_path / "bad.csv"
+    p.write_text(f"epsilon,pitch,value\n0.2,0.02,1\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: .*{re.escape(message)}"):
+        load_profile_csv(str(p))
+
+
+def test_load_ifs_names_the_line_of_a_map_too_large_for_memory(tmp_path):
+    # a squeeze's box has the file's dim; this one no address space holds
+    p = tmp_path / "huge.ifs"
+    p.write_text("dim 1000000000000000\nneedle_h1 100\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: out of memory building the map"):
+        load_ifs(str(p))
 
 
 def test_certificate_text_parses_back():

@@ -134,6 +134,20 @@ def test_eps_graph_within_budget_needs_no_kdtree_pair_search(monkeypatch):
     assert graph.matrix() is graph.matrix()  # stored, not rebuilt
 
 
+def test_chain_profiles_build_no_kdtree_within_the_budget(monkeypatch):
+    # the query points are snapped by an exact scan, not through a tree
+    built = []
+
+    class _RecordingTree(cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(len(args[0]))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "cKDTree", _RecordingTree)
+    chain_profiles(build_needle(), [("far", "h(p)"), ("h(p)", "far")], 0.1, 2)
+    assert built == []
+
+
 def test_eps_graph_counts_exactly_when_the_candidates_exceed_the_budget(monkeypatch):
     monkeypatch.setattr(metric, "cKDTree", _CountingTree)
     monkeypatch.setattr(_CountingTree, "calls", [])

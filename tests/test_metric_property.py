@@ -1,4 +1,4 @@
-"""Property tests: the sweep in ``eps_graph`` keeps exactly the hops below epsilon.
+"""Property tests: the sweep in ``eps_graph`` and the capped search in ``hausdorff``.
 
 Three oracles. On dyadic lattices every hop length and its comparison with
 epsilon are exact, so the graph must equal ``_graph_oracle``'s, computed in
@@ -10,9 +10,16 @@ floating-point hop length. And whole chain profiles must equal
 KD-tree and builds its matrix from COO triples. The clouds are 1-D, 2-D and
 3-D, with duplicate points, points on the cell boundaries, negative
 coordinates and coordinates offset by 1e6, and as few as one point.
+
+``hausdorff`` caps its nearest-neighbour search by a strided sample and runs
+it on several workers; it must equal ``_oracles.hausdorff_reference``, two
+plain single-threaded queries, in distance, side and witness, and its
+per-point distances must equal an unbounded query's bit for bit.
 """
 
 import warnings
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,11 +28,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scipy.spatial import cKDTree
+
+from ifscert import metric
 from ifscert.continua import build_needle
 from ifscert.geometry import ContinuumModel, PointCloud, Polyline
-from ifscert.metric import chain_profiles, eps_graph
+from ifscert.metric import chain_profiles, eps_graph, hausdorff
 
-from _oracles import chain_profiles_reference
+from _oracles import chain_profiles_reference, hausdorff_reference
 from test_metric import _graph_oracle
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -137,3 +147,81 @@ def test_needle_profile_matches_the_kdtree_reference():
     pairs = [("far", "h(p)"), ("h(p)", "far")]
     got = np.array([p.values for p in chain_profiles(build_needle(), pairs, 0.1, 4)])
     assert np.array_equal(got, chain_profiles_reference(build_needle(), pairs, 0.1, 4))
+
+
+@st.composite
+def cloud_pairs(draw):
+    """Two clouds: float or dyadic-lattice points, the second maybe equal to the first.
+
+    Lattice points make many nearest distances tie, between points and
+    between the two sides. Duplicates repeat a cloud's first points, and an
+    outlier far from everything may land at any index of the first cloud,
+    where a strided sample may or may not see it.
+    """
+    dim = draw(DIMS)
+    rng = np.random.default_rng(draw(SEEDS))
+    lattice = draw(st.booleans())
+
+    def cloud():
+        n = draw(st.integers(1, 150))
+        if lattice:
+            return rng.integers(-4, 5, size=(n, dim)) * draw(st.sampled_from([0.25, 1.0]))
+        return rng.normal(size=(n, dim)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+
+    a = cloud()
+    b = a.copy() if draw(st.booleans()) else cloud()
+    a = np.vstack([a, a[:draw(st.integers(0, 3))]])
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(a)))
+        a = np.insert(a, at, np.full(dim, 1e4 if lattice else 7.5e3), axis=0)
+    offset = draw(st.sampled_from([0.0, -3.5, 1e6]))
+    return offset + a, offset + b
+
+
+def _outlier_case(n, at):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, 2))
+    return np.insert(a, at, [40.0, -3.0], axis=0), rng.normal(size=(n, 2))
+
+
+@PROPERTY
+@given(cloud_pairs(), st.sampled_from([1, 3, 64]), st.sampled_from(["none", "balanced", "unbalanced"]),
+       st.booleans())
+@example((np.zeros((1, 2)), np.ones((1, 2))), 64, "none", False)  # one point each
+@example((np.eye(3), np.eye(3)), 64, "none", False)  # identical clouds: the cap is 0
+@example(_outlier_case(130, 100), 64, "unbalanced", False)  # the stride skips the farthest point
+@example(_outlier_case(130, 100), 64, "none", True)
+def test_hausdorff_matches_the_reference(clouds, stride, trees, one_worker):
+    a, b = (PointCloud(c, 1.0) for c in clouds)
+    given_trees = None
+    if trees != "none":
+        balanced = trees == "balanced"
+        given_trees = (cKDTree(a.points, balanced_tree=balanced), cKDTree(b.points, balanced_tree=balanced))
+    workers = mock.patch.object(metric, "_query_workers", lambda: 1) if one_worker else nullcontext()
+    with mock.patch.object(metric, "_CAP_STRIDE", stride), workers:
+        for tree, pts in ((cKDTree(b.points), a.points), (cKDTree(a.points), b.points)):
+            assert np.array_equal(metric._nearest_distances(tree, pts), tree.query(pts, workers=1)[0])
+        gap = hausdorff(a, b, trees=given_trees)
+        got = hausdorff(a, b, trees=given_trees, witness=True)
+    want = hausdorff_reference(a, b, witness=True)
+    assert gap == got[0] == want[0] == hausdorff_reference(a, b)
+    assert got[1] == want[1]
+    assert np.array_equal(got[2], want[2])
+
+
+@PROPERTY
+@given(st.integers(1, 9), SEEDS, st.booleans())
+def test_nearest_samples_match_the_kdtree(dim, seed, lattice):
+    # lattice queries sit halfway between samples, where several tie
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 120))
+    if lattice:
+        samples = rng.integers(-3, 4, size=(n, dim)) * 0.5
+        points = rng.integers(-6, 7, size=(4, dim)) * 0.25
+    else:
+        samples = rng.normal(size=(n, dim))
+        points = samples[rng.integers(0, n, size=4)] + rng.normal(size=(4, dim)) * 1e-2
+    got = metric.nearest_samples(samples, points)
+    want = cKDTree(samples).query(points)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
