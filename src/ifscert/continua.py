@@ -478,8 +478,9 @@ def verify_P(model: ContinuumModel) -> None:
 def _check_line_contacts(lines: tuple[Polyline, ...]) -> None:
     """Segments of distinct lines may meet only where both end at the origin.
 
-    One sort-and-prune pass over the segments of all lines; the angle key
-    about the origin keeps each line's sector apart, so few pairs are built.
+    One sort-and-prune pass over the segments of all lines, told each
+    segment's line, so no pair of one line is built; the angle key about
+    the origin keeps each line's sector apart, so few pairs are built.
     Raises for the smallest pair of lines in contact elsewhere.
     """
     segments = [line.segments() for line in lines]
@@ -489,10 +490,8 @@ def _check_line_contacts(lines: tuple[Polyline, ...]) -> None:
     at_origin = ~starts.any(axis=1) | ~ends.any(axis=1)
     tol = 1e-15
     worst = len(lines) ** 2
-    for i, j in _candidate_pairs(starts, ends, tol):
+    for i, j in _candidate_pairs(starts, ends, tol, label):
         a, b = np.minimum(label[i], label[j]), np.maximum(label[i], label[j])
-        keep = a < b
-        i, j, a, b = i[keep], j[keep], a[keep], b[keep]
         close = _segment_distance_batch(starts[i], ends[i], starts[j], ends[j]) < tol
         stray = close & ~(at_origin[i] & at_origin[j])
         if stray.any():

@@ -5,9 +5,10 @@ digits for decimals, and atomic writes (write to a temp file in the target
 directory, then rename). Same input, same bytes.
 
 Model files can hold millions of vertex rows, so their text is built and
-read in chunks of ``_CHUNK_ROWS`` rows. A write formats each chunk with one
-``%``-format (``%.17g`` is the same C routine as ``format(x, ".17g")``) and
-joins the chunks once; ``atomic_write`` encodes its text in slices. A read
+read in chunks of ``_CHUNK_ROWS`` rows. A write formats the rows with the
+exact ``%.17g`` kernel of ``_numtext`` (the bytes of Python's ``%``, which
+is the same C routine as ``format(x, ".17g")``) and joins the chunks once;
+``atomic_write`` encodes its text in slices. A read
 streams the file: header records line by line, vertex rows a chunk at a time
 through one ``np.array(tokens, dtype=float)``, which parses each token with
 Python's ``float``. A chunk that fails the exact layout check is parsed
@@ -28,7 +29,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import continua
+from . import _numtext, continua
 from .certify import Certificate
 from .geometry import ContinuumModel, PointCloud, Polyline
 from .ifs import IfsSpec, KIND_AFFINE, KIND_CLOSED_FORM, KIND_COMPOSITION, KIND_RIPPLE, KIND_SQUEEZE, MapSpec, squeeze_box
@@ -50,10 +51,7 @@ _WRITE_SLICE = 1 << 20
 
 def _row_blocks(rows: np.ndarray):
     """Yield the text of ``rows``, one ``%.17g`` row a line, a chunk at a time."""
-    line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
-    for lo in range(0, len(rows), _CHUNK_ROWS):
-        block = rows[lo:lo + _CHUNK_ROWS]
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+    return _numtext.text_chunks(" ".join(["%.17g"] * rows.shape[1]) + "\n", rows, "", _CHUNK_ROWS)
 
 
 def atomic_write(path: str, text: str) -> None:

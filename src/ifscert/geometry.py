@@ -324,12 +324,36 @@ def _count_candidates(lo, hi, wild):
     return int(counts.sum()) + w * (n - w) + w * (w - 1) // 2, order, counts, wild
 
 
-def _candidate_pairs(P, Q, tol):
+def _other_labels(own, counts):
+    """Drop the candidates of one label from the sweep.
+
+    The k-th segment of the sweep, of label ``own[k]``, has the candidates
+    ``k + 1 .. k + counts[k]``. Returns ``(pool, first, counts)`` with its
+    candidates of other labels as ``pool[first[k] + t]``, t < ``counts[k]``:
+    ``pool`` holds, for each label, the sweep positions of all other
+    labels, one block after another.
+    """
+    first = np.arange(1, len(own) + 1)
+    ends = first + counts
+    pools = []
+    at = 0
+    for label in np.unique(own):
+        others = np.flatnonzero(own != label)
+        mine = np.flatnonzero(own == label)
+        first[mine] = at + np.searchsorted(others, mine + 1)
+        ends[mine] = at + np.searchsorted(others, ends[mine])
+        pools.append(others)
+        at += len(others)
+    return np.concatenate([np.zeros(0, dtype=np.intp)] + pools), first, ends - first
+
+
+def _candidate_pairs(P, Q, tol, labels=None):
     """Yield candidate segment pairs ``(i, j)`` in chunks; every pair within ``tol`` is among them.
 
     Each unordered pair of distinct segments comes at most once, in either
-    order. Broad phase: each segment gets an interval under a key, and only
-    pairs whose intervals overlap are candidates. The keys are the
+    order; given ``labels``, only pairs of two labels, and no pair of one
+    label is built. Broad phase: each segment gets an interval under a key,
+    and only pairs whose intervals overlap are candidates. The keys are the
     coordinates and, in 2-D, the polar angle about the origin and about the
     bounding-box centre; each key's candidates are counted with
     ``searchsorted`` before any pair is built, and the key with the fewest
@@ -359,11 +383,19 @@ def _candidate_pairs(P, Q, tol):
       the last s covers ``arctan2``'s few-ulp error. This fails only when
       the short way between the two directions crosses the branch cut at
       +-pi; then segment i's padded span reaches +-pi. So a segment is
-      "wild", and paired with every segment, when d_lo <= 2 reach (which
+      "wild", and left to the next rule, when d_lo <= 2 reach (which
       also keeps ``asin`` to arguments below 1/2, where its rounding error
       stays a few ulps), when its padded span reaches +-pi, or when that
       span is at least pi wide (a segment across the cut has a computed
       span above pi - 2s).
+    * A wild segment i (2-D) is paired with every segment that does not lie
+      wholly on one side of the line through it, more than ``reach`` away;
+      a segment of length 0 with every segment. The signed distance from
+      that line is affine along a segment, so if both ends of segment j
+      are beyond ``reach`` on one side, all of it is, and so is its
+      distance to segment i. Computed from ``fl(b - a)``, ``fl(p - a)``,
+      a cross product and a division, the signed distance is off by less
+      than 30uM, inside the sM of ``reach``.
 
     ``_cross_mask_2d`` flags a touch (a computed zero orientation with the
     point inside the other segment's box) only within about 50uM, so inside
@@ -383,6 +415,9 @@ def _candidate_pairs(P, Q, tol):
             centres.pop()
         keys += [_angle_key(P, Q, c, reach) for c in centres]
     _, order, counts, wild = min((_count_candidates(*key) for key in keys), key=lambda p: p[0])
+    first, pool = np.arange(1, len(order) + 1), np.arange(len(order))
+    if labels is not None:
+        pool, first, counts = _other_labels(labels[order], counts)
 
     cum = np.concatenate([[0], np.cumsum(counts)])
     k = 0
@@ -390,13 +425,21 @@ def _candidate_pairs(P, Q, tol):
         stop = max(k + 1, int(np.searchsorted(cum, cum[k] + _PAIR_CHUNK, side="right")) - 1)
         c = counts[k:stop]
         rep = np.repeat(np.arange(k, stop), c)
-        later = rep + 1 + np.arange(len(rep)) - np.repeat(cum[k:stop] - cum[k], c)
-        yield order[rep], order[later]
+        later = np.repeat(first[k:stop] - (cum[k:stop] - cum[k]), c) + np.arange(len(rep))
+        yield order[rep], order[pool[later]]
         k = stop
-    wild_idx = np.flatnonzero(wild)
-    block = max(1, _PAIR_CHUNK // n)
-    for lo in range(0, len(wild_idx), block):
-        i = np.repeat(wild_idx[lo : lo + block], n)
-        j = np.tile(np.arange(n), len(i) // n)
-        keep = ~wild[j] | (j > i)
-        yield i[keep], j[keep]
+    after = np.ones(n, dtype=bool)
+    for i in np.flatnonzero(wild):  # wild segments come from the 2-D angle keys only
+        after[i] = False
+        near = after | ~wild
+        if labels is not None:
+            near &= labels != labels[i]
+        d = Q[i] - P[i]
+        length = float(np.hypot(d[0], d[1]))
+        if length > 0:
+            # signed distances of both ends from the line through segment i
+            side_p = (d[0] * (P[:, 1] - P[i, 1]) - d[1] * (P[:, 0] - P[i, 0])) / length
+            side_q = (d[0] * (Q[:, 1] - P[i, 1]) - d[1] * (Q[:, 0] - P[i, 0])) / length
+            near &= ~(((side_p > reach) & (side_q > reach)) | ((side_p < -reach) & (side_q < -reach)))
+        j = np.flatnonzero(near)
+        yield np.full(len(j), i), j

@@ -186,13 +186,16 @@ def _sweep_ranges(points: np.ndarray, epsilon: float):
     them are later than ``k``, and they increase along a row.
 
     The sweep cuts space into cells of width ``reach``, a padded ``epsilon``,
-    on every axis but the last, and sorts the points by (cell, last
-    coordinate), cells in lexicographic order. The candidates of a point are
-    the later points of its own cell whose last coordinate is at most its
-    own plus ``reach``, then, in each of the (3^(d-1) - 1)/2 cells whose
-    offset is lexicographically positive and at most 1 on every axis, the
-    points whose last coordinate lies within ``reach`` of its own. Each
-    unordered pair of points is considered at most once.
+    on the first ``c = min(d - 1, 2)`` axes, and sorts the points by (cell,
+    last coordinate), cells in lexicographic order. The candidates of a
+    point are the later points of its own cell whose last coordinate is at
+    most its own plus ``reach``, then, in each of the (3^c - 1)/2 cells
+    whose offset is lexicographically positive and at most 1 on every cut
+    axis, the points whose last coordinate lies within ``reach`` of its
+    own. Each unordered pair of points is considered at most once. In
+    ``d <= 3`` every axis but the last is cut; in higher dimensions the
+    other axes are not, so the neighbour cells number at most 4, not
+    (3^(d-1) - 1)/2.
 
     No pair that the filter of :func:`_sweep_csr` keeps is left out. Let u
     be the unit roundoff, M the largest coordinate magnitude, g the
@@ -217,15 +220,20 @@ def _sweep_ranges(points: np.ndarray, epsilon: float):
     A kept pair therefore lies in one cell, or in two cells whose offset,
     seen from the lexicographically smaller one, is one of the forward
     offsets; and it lies within the window of the point that comes first.
+    The bound on the coordinate gap holds on every axis, so the argument
+    needs it only on the cut axes and the last: an axis left uncut puts no
+    condition on a candidate, so it only adds candidates, and the filter
+    drops those.
     """
     n, dim = points.shape
     reach = max(epsilon, 2.0 ** -510) * (1 + 2.0 ** -40) + 2.0 ** -48 * float(np.abs(points).max())
     y = points[:, -1]
     by_y = np.argsort(y, kind="stable")
     y_sorted = y[by_y]
-    cells = np.floor(points[:, :-1] / reach).astype(np.int64)
+    cut = min(dim - 1, 2)
+    cells = np.floor(points[:, :cut] / reach).astype(np.int64)
     # stable sorts: within a cell the points keep their order in ``by_y``
-    order = by_y[np.lexsort(cells[by_y].T[::-1])] if dim > 1 else by_y
+    order = by_y[np.lexsort(cells[by_y].T[::-1])] if cut else by_y
     cells = cells[order]
     head = np.ones(n, dtype=bool)
     head[1:] = (cells[1:] != cells[:-1]).any(axis=1)
@@ -240,8 +248,8 @@ def _sweep_ranges(points: np.ndarray, epsilon: float):
     starts = [np.arange(1, n + 1)]
     ends = [np.searchsorted(key, cell * n + hi)]
     heads = np.ascontiguousarray(cells[head])
-    for offset in itertools.product((-1, 0, 1), repeat=dim - 1):
-        if offset <= (0,) * (dim - 1):
+    for offset in itertools.product((-1, 0, 1), repeat=cut):
+        if offset <= (0,) * cut:
             continue
         target = heads + offset
         at = np.minimum(np.searchsorted(_lex_keys(heads), _lex_keys(target)), len(heads) - 1)

@@ -2,16 +2,15 @@
 
 Fixed 1000x1000 viewport, fixed palette, fixed decimal formatting: the same
 input always produces the same bytes. Path data for large clouds and lines
-is formatted ``_CHUNK_POINTS`` points at a time, one ``%``-format a chunk.
+is formatted at most ``_CHUNK_POINTS`` points at a time by the exact
+``%.2f`` kernel of ``_numtext``, whose bytes are Python's ``%``.
 """
 
 from __future__ import annotations
 
-import math
-from xml.sax.saxutils import escape
-
 import numpy as np
 
+from . import _numtext
 from .geometry import ContinuumModel, PointCloud
 
 VIEW = 1000
@@ -28,6 +27,12 @@ _HEADER = (
 
 def _c(v: float) -> str:
     return format(v, ".2f")
+
+
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities (``xml.sax.saxutils.escape``
+    without its import of ``urllib`` and ``ssl``); ``&`` goes first."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class _Frame:
@@ -53,13 +58,10 @@ class _Frame:
 def _format_points(pattern: str, pts: np.ndarray) -> str:
     """``pattern % (x, y)`` for each point, space-separated, a chunk at a time.
 
-    ``"%.2f" % v`` and ``_c(v)`` are the same C routine.
+    The bytes are Python's ``%`` (see ``_numtext``); ``"%.2f" % v`` and
+    ``_c(v)`` are the same C routine.
     """
-    blocks = []
-    for lo in range(0, len(pts), _CHUNK_POINTS):
-        block = pts[lo:lo + _CHUNK_POINTS]
-        blocks.append(" ".join([pattern] * len(block)) % tuple(block.ravel().tolist()))
-    return " ".join(blocks)
+    return " ".join(_numtext.text_chunks(pattern, pts, " ", _CHUNK_POINTS))
 
 
 def _path(canvas_pts: np.ndarray) -> str:
@@ -74,7 +76,7 @@ def _marked_elements(marked: dict, frame: _Frame) -> list[str]:
         parts.append(f'<circle cx="{_c(x)}" cy="{_c(y)}" r="6" fill="#d62728"/>')
         parts.append(
             f'<text x="{_c(x + 9)}" y="{_c(y - 9)}" font-family="monospace" '
-            f'font-size="22" fill="#333333">{escape(label)}</text>'
+            f'font-size="22" fill="#333333">{_escape(label)}</text>'
         )
     return parts
 
@@ -107,9 +109,15 @@ def model_svg(model: ContinuumModel | PointCloud) -> str:
 
 
 def profile_svg(epsilons, values, title: str = "") -> str:
-    """Log-log chart of a chain-length profile; finer scales to the right."""
+    """Log-log chart of a chain-length profile; finer scales to the right.
+
+    A value of 0 (both ends snap to one sample) has no place on the log
+    axis: it is drawn on the scale axis and labelled ``0``. An infinite
+    value (no chain) is labelled ``inf`` at the top.
+    """
     epsilons = np.asarray(epsilons, dtype=float)
     values = np.asarray(values, dtype=float)
+    zero = values == 0
     finite = np.isfinite(values) & (values > 0)
     x0, x1, y0, y1 = 120.0, 950.0, 880.0, 100.0
     parts = [
@@ -119,9 +127,9 @@ def profile_svg(epsilons, values, title: str = "") -> str:
     if title:
         parts.append(
             f'<text x="{_c((x0 + x1) / 2)}" y="60" font-family="monospace" font-size="26" '
-            f'text-anchor="middle" fill="#333333">{escape(title)}</text>'
+            f'text-anchor="middle" fill="#333333">{_escape(title)}</text>'
         )
-    if not finite.any():
+    if not (finite | zero).any():
         parts.append(
             f'<text x="{_c((x0 + x1) / 2)}" y="{_c((y0 + y1) / 2)}" font-family="monospace" '
             f'font-size="26" text-anchor="middle" fill="#333333">no finite values</text>'
@@ -130,7 +138,7 @@ def profile_svg(epsilons, values, title: str = "") -> str:
     lx = -np.log10(epsilons)
     ly = np.log10(values[finite])
     lx_lo, lx_hi = float(lx.min()), float(lx.max())
-    ly_lo, ly_hi = float(ly.min()), float(ly.max())
+    ly_lo, ly_hi = (float(ly.min()), float(ly.max())) if len(ly) else (0.0, 0.0)
     lx_hi = lx_hi if lx_hi > lx_lo else lx_lo + 1
     ly_hi = ly_hi if ly_hi > ly_lo else ly_lo + 1
 
@@ -149,7 +157,7 @@ def profile_svg(epsilons, values, title: str = "") -> str:
             f'<text x="{_c(sx(xv))}" y="{_c(y0 + 32)}" font-family="monospace" font-size="16" '
             f'text-anchor="middle" fill="#333333">{format(eps, ".3g")}</text>'
         )
-    for yv in sorted(set(np.round(np.linspace(ly_lo, ly_hi, 5), 3))):
+    for yv in sorted(set(np.round(np.linspace(ly_lo, ly_hi, 5), 3))) if len(ly) else ():
         parts.append(
             f'<line x1="{_c(x0 - 8)}" y1="{_c(sy(yv))}" x2="{_c(x0)}" y2="{_c(sy(yv))}" '
             f'stroke="#333333" stroke-width="2"/>'
@@ -167,7 +175,13 @@ def profile_svg(epsilons, values, title: str = "") -> str:
         parts.append(f'<path d="{d}" stroke="{_PALETTE[0]}" stroke-width="2.5" fill="none"/>')
     for px, py in chart:
         parts.append(f'<circle cx="{_c(px)}" cy="{_c(py)}" r="5" fill="{_PALETTE[1]}"/>')
-    for xv in lx[~finite]:
+    for xv in lx[zero]:
+        parts.append(f'<circle cx="{_c(sx(xv))}" cy="{_c(y0)}" r="5" fill="{_PALETTE[1]}"/>')
+        parts.append(
+            f'<text x="{_c(sx(xv))}" y="{_c(y0 - 12)}" font-family="monospace" font-size="18" '
+            f'text-anchor="middle" fill="{_PALETTE[1]}">0</text>'
+        )
+    for xv in lx[~finite & ~zero]:
         parts.append(
             f'<text x="{_c(sx(xv))}" y="{_c(y1 + 18)}" font-family="monospace" font-size="18" '
             f'text-anchor="middle" fill="{_PALETTE[1]}">inf</text>'

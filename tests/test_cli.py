@@ -16,6 +16,12 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
+def _subprocess_env():
+    """The environment for a child interpreter that imports this ifscert."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(ifscert.__file__)), os.environ.get("PYTHONPATH", "")])}
+
+
 @pytest.fixture()
 def halves_ifs(tmp_path):
     path = tmp_path / "halves.ifs"
@@ -210,13 +216,63 @@ def test_plot_is_deterministic(tmp_path, halves_ifs):
     assert open(c, "rb").read() == open(d, "rb").read()
 
 
+def test_plot_draws_a_chain_value_of_zero(tmp_path):
+    # a pair that snaps to one sample has chain value 0: it is no missing point
+    model = str(tmp_path / "l1.model")
+    run("build", "zigzag", "--n", "1", "--out", model, "--quiet")
+    csv_out, svg_out = str(tmp_path / "bb.csv"), str(tmp_path / "bb.svg")
+    run("chain", model, "p1", "p1", "--eps0", "1e-3", "--kmax", "2", "--out", csv_out, "--quiet")
+    assert formats.load_profile_csv(csv_out)[2].tolist() == [0.0, 0.0, 0.0]
+    assert run("plot", csv_out, "--out", svg_out, "--quiet") == 0
+    text = open(svg_out).read()
+    assert text.count(">0</text>") == 3
+    assert ">inf</text>" not in text and "no finite values" not in text
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("epsilon,pitch,value\n0.1,0.01,0\n0.05,0.005,2\n0.025,0.0025,\n0.0125,0.00125,4\n")
+    assert run("plot", str(mixed), "--out", svg_out, "--quiet") == 0
+    text = open(svg_out).read()
+    assert text.count(">0</text>") == 1 and text.count(">inf</text>") == 1
+    assert text.count('r="5"') == 3  # the two positive values and the 0
+
+
+def test_cli_import_loads_no_url_or_tls_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client and ssl
+    probe = ("import sys, ifscert.cli; "
+             "print(sorted({'xml.sax.saxutils', 'urllib.request', 'ssl'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env(), check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_svg_escape_matches_saxutils():
+    from xml.sax.saxutils import escape
+
+    from ifscert import svg
+
+    for label in ["plain", "a&b", "<p>", "x > y & y < z", "&amp;", "\"quoted\" 'single'", "&<>\"'" * 3, ""]:
+        assert svg._escape(label) == escape(label)
+
+
+def test_chain_in_twenty_dimensions_returns_within_seconds(tmp_path):
+    # cells cut on every axis but the last meant (3^19 - 1)/2 neighbour cells
+    # per sample: about half a day for this two-vertex polyline
+    dim = 20
+    model = tmp_path / "d20.model"
+    model.write_text(f"dim {dim}\npolyline a 2\n{' '.join(['0'] * dim)}\n{' '.join(['1'] * dim)}\n"
+                     f"marked a {' '.join(['0'] * dim)}\nmarked b {' '.join(['1'] * dim)}\n")
+    profile = str(tmp_path / "d20.csv")
+    done = subprocess.run(
+        [sys.executable, "-m", "ifscert.cli", "chain", str(model), "a", "b", "--eps0", "0.5", "--kmax", "1",
+         "--out", profile, "--quiet"], capture_output=True, env=_subprocess_env(), timeout=60)
+    assert done.returncode in (0, 1), done.stderr
+    assert formats.load_profile_csv(profile)[2] == pytest.approx([dim ** 0.5] * 2, rel=1e-9)
+
+
 def test_plot_reads_a_piped_input_once(tmp_path):
     model = str(tmp_path / "l1.model")
     csv_out = str(tmp_path / "profile.csv")
     run("build", "zigzag", "--n", "1", "--out", model, "--quiet")
     run("chain", model, "p0", "p1", "--eps0", "1e-3", "--kmax", "2", "--out", csv_out, "--quiet")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [os.path.dirname(os.path.dirname(ifscert.__file__)), os.environ.get("PYTHONPATH", "")])}
+    env = _subprocess_env()
     for source in (model, csv_out):
         by_path, by_pipe = str(tmp_path / "path.svg"), str(tmp_path / "pipe.svg")
         assert run("plot", source, "--title", "t", "--out", by_path, "--quiet") == 0

@@ -6,7 +6,9 @@ from ifscert.geometry import (
     ContinuumModel,
     PointCloud,
     Polyline,
+    _candidate_pairs,
     _cross_mask_2d,
+    _segment_distance_batch,
     polar_to_cartesian,
     polyline_length,
     sample_polyline,
@@ -189,6 +191,36 @@ def test_allpairs_row_blocks_match_triu_reference(monkeypatch, closed, dim):
             assert got == self_intersects_allpairs(line, tol), f"case {case} tol {tol}"
             hits += got[0]
     assert 0 < hits < 60
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_candidate_pairs_with_labels_skip_one_label_and_keep_every_close_pair(seed):
+    # fans from the origin, one label each, in wedges that may overlap: their
+    # first legs are wild under the angle key about the origin, which the
+    # broad phase picks for most of them; and random walks that cross them
+    rng = np.random.default_rng(seed)
+    walks = []
+    for m in range(5):
+        k = int(rng.integers(3, 60))
+        theta = 0.25 * m + np.sort(rng.uniform(0.0, 0.3, size=k))
+        radius = np.where(np.arange(k) % 2, 1.0, 0.3) * rng.uniform(0.9, 1.0, size=k)
+        walks.append(np.vstack([[0.0, 0.0], np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])]))
+    walks += [np.cumsum(rng.normal(size=(int(rng.integers(2, 12)), 2)) * 0.3, axis=0) for _ in range(seed % 3)]
+    starts = np.concatenate([w[:-1] for w in walks])
+    ends = np.concatenate([w[1:] for w in walks])
+    labels = np.repeat(np.arange(len(walks)), [len(w) - 1 for w in walks])
+    i, j = np.triu_indices(len(starts), 1)
+    dist = _segment_distance_batch(starts[i], ends[i], starts[j], ends[j])
+    for tol in (0.0, 0.05, 0.5):
+        for given in (None, labels):
+            pairs = [(min(a, b), max(a, b)) for c in _candidate_pairs(starts, ends, tol, given)
+                     for a, b in zip(*(x.tolist() for x in c))]
+            assert len(pairs) == len(set(pairs)), "a pair came twice"
+            close = {(a, b) for a, b, d in zip(i.tolist(), j.tolist(), dist.tolist()) if d <= tol}
+            if given is not None:
+                assert all(labels[a] != labels[b] for a, b in pairs)
+                close = {(a, b) for a, b in close if labels[a] != labels[b]}
+            assert close <= set(pairs)
 
 
 def test_sweep_handles_large_polygon_and_planted_crossing():

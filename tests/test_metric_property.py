@@ -9,7 +9,8 @@ floating-point hop length. And whole chain profiles must equal
 ``_oracles.chain_profiles_reference``, which takes its pairs from the
 KD-tree and builds its matrix from COO triples. The clouds are 1-D, 2-D and
 3-D, with duplicate points, points on the cell boundaries, negative
-coordinates and coordinates offset by 1e6, and as few as one point.
+coordinates and coordinates offset by 1e6, and as few as one point; and
+4-D to 12-D, where the sweep cuts cells on the first two axes only.
 
 ``hausdorff`` caps its nearest-neighbour search by a strided sample and runs
 it on several workers; it must equal ``_oracles.hausdorff_reference``, two
@@ -121,9 +122,43 @@ def test_sweep_matches_all_pairs_bit_for_bit(case):
 
 
 @st.composite
-def polyline_models(draw):
-    """A random open polyline in 2-D or 3-D, marked at both ends and at a middle vertex."""
-    dim = draw(st.sampled_from([2, 3]))
+def high_dim_clouds(draw):
+    """Clouds in 4 to 12 dimensions, where the sweep cuts cells on two axes only.
+
+    Dyadic lattices (exact hop comparisons, pairs exactly epsilon apart) or
+    uniform and clustered float clouds.
+    """
+    dim = draw(st.integers(4, 12))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(SEEDS))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([0.25, 1.0]))
+        points = draw(st.sampled_from([0.0, -1e6])) + step * rng.integers(-2, 3, size=(n, dim))
+        return points, step * draw(st.sampled_from([1, 2, 3, 4])), True
+    points = rng.uniform(-1.0, 1.0, size=(n, dim))
+    if draw(st.booleans()):
+        points = points[rng.integers(0, n, size=n)] + rng.normal(size=(n, dim)) * 0.05
+    return points, draw(st.floats(0.05, 2.5)), False
+
+
+@PROPERTY
+@given(high_dim_clouds())
+def test_sweep_matches_the_oracles_in_high_dimensions(case):
+    points, epsilon, lattice = case
+    got = _graph(points, epsilon)
+    if lattice:
+        want = _graph_oracle(points, epsilon)
+        assert got.keys() == want.keys()
+        for key, w in want.items():
+            assert got[key] == pytest.approx(w, rel=1e-15, abs=0.0), key
+    else:
+        assert got == _all_pairs(points, epsilon)
+
+
+@st.composite
+def polyline_models(draw, dims=st.sampled_from([2, 3])):
+    """A random open polyline, marked at both ends and at a middle vertex."""
+    dim = draw(dims)
     n = draw(st.integers(2, 7))
     rng = np.random.default_rng(draw(SEEDS))
     vertices = np.cumsum(rng.normal(size=(n, dim)) * 0.3, axis=0)
@@ -141,6 +176,16 @@ def test_chain_profiles_match_the_kdtree_reference(model, eps0, k_max, pitch_rat
         got = np.array([p.values for p in chain_profiles(model, pairs, eps0, k_max, pitch_ratio)])
     want = chain_profiles_reference(model, pairs, eps0, k_max, pitch_ratio)
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(polyline_models(st.integers(4, 12)), st.sampled_from([0.2, 0.35]), st.integers(0, 2))
+def test_chain_profiles_match_the_kdtree_reference_in_high_dimensions(model, eps0, k_max):
+    pairs = [("a", "b"), ("c", "a")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = np.array([p.values for p in chain_profiles(model, pairs, eps0, k_max, 3.0)])
+    assert np.array_equal(got, chain_profiles_reference(model, pairs, eps0, k_max, 3.0))
 
 
 def test_needle_profile_matches_the_kdtree_reference():
