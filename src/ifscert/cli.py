@@ -16,11 +16,9 @@ import sys
 
 import numpy as np
 
-from . import continua, formats, svg
-from .certify import Certificate, fixed_set_check, needle_dichotomy_check, p_point_coverage
+# ``certify``, ``ifs`` and ``metric`` load scipy on first use (see ``ifscert``)
+from . import certify, continua, formats, ifs, metric, svg
 from .geometry import ContinuumModel, PointCloud
-from .ifs import attractor
-from .metric import chain_profile
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -63,7 +61,7 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _emit_certificate(args, cert: Certificate) -> int:
+def _emit_certificate(args, cert: certify.Certificate) -> int:
     text = formats.certificate_text(cert)
     if args.out:
         formats.atomic_write(args.out, text)
@@ -100,7 +98,7 @@ def _cmd_chain(args) -> int:
     model = formats.load_model(args.model)
     if isinstance(model, PointCloud):
         raise ValueError("chain profiles need a polyline model, not a point cloud")
-    profile = chain_profile(
+    profile = metric.chain_profile(
         model,
         _parse_point(args.src),
         _parse_point(args.dst),
@@ -136,14 +134,14 @@ def _seed_cloud_from_box(box_text: str, dim: int, pitch: float) -> PointCloud:
 
 
 def _cmd_attractor(args) -> int:
-    ifs = formats.load_ifs(args.ifs)
+    system = formats.load_ifs(args.ifs)
     if args.seed_cloud:
         seed = formats.load_model(args.seed_cloud)
         if not isinstance(seed, PointCloud):
             seed = seed.refine(args.tol)
     else:
-        seed = _seed_cloud_from_box(args.box, ifs.dimension, args.tol)
-    result = attractor(ifs, seed, tol=args.tol, max_iter=args.max_iter)
+        seed = _seed_cloud_from_box(args.box, system.dimension, args.tol)
+    result = ifs.attractor(system, seed, tol=args.tol, max_iter=args.max_iter)
     out = args.out or "attractor.model"
     formats.save_model(result.cloud, out)
     _say(args, f"wrote {out}")
@@ -164,19 +162,19 @@ def _cmd_attractor(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    ifs = formats.load_ifs(args.ifs)
+    system = formats.load_ifs(args.ifs)
     model = formats.load_model(args.model)
     if isinstance(model, PointCloud):
         raise ValueError("certificates need a polyline model, not a point cloud")
     if args.kind == "fixed-set":
-        cert = fixed_set_check(ifs, model, args.delta)
+        cert = certify.fixed_set_check(system, model, args.delta)
     elif args.kind == "p-coverage":
-        cert = p_point_coverage(ifs, model, args.delta)
+        cert = certify.p_point_coverage(system, model, args.delta)
     else:
-        if not 0 <= args.map_index < len(ifs.maps):
-            raise ValueError(f"--map-index must address one of {len(ifs.maps)} maps")
-        cert = needle_dichotomy_check(
-            ifs.maps[args.map_index],
+        if not 0 <= args.map_index < len(system.maps):
+            raise ValueError(f"--map-index must address one of {len(system.maps)} maps")
+        cert = certify.needle_dichotomy_check(
+            system.maps[args.map_index],
             model,
             eps0=args.eps0,
             k_max=args.kmax,

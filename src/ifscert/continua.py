@@ -18,6 +18,7 @@ from .geometry import (
     ContinuumModel,
     PointCloud,
     Polyline,
+    _MAX_SAMPLE_POINTS,
     _candidate_pairs,
     _segment_distance_batch,
     as_point,
@@ -42,8 +43,6 @@ ZIGZAG_MAX_N = 12
 # farther apart than this multiple of the pitch; below that scale it follows
 # the zero crossings of the wave, which is what epsilon-chains do anyway.
 SHORTCUT_PITCHES = 10.0
-
-_MAX_SAMPLE_POINTS = 20_000_000
 
 
 def needle_wave(x) -> np.ndarray:

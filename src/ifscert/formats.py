@@ -29,11 +29,9 @@ from itertools import islice
 
 import numpy as np
 
-from . import _numtext, continua
-from .certify import Certificate
+# modules, not names, so that scipy loads on first use (``ifs_text`` has a parameter ``ifs``)
+from . import _numtext, certify, continua, ifs as ifs_mod, metric
 from .geometry import ContinuumModel, PointCloud, Polyline
-from .ifs import IfsSpec, KIND_AFFINE, KIND_CLOSED_FORM, KIND_COMPOSITION, KIND_RIPPLE, KIND_SQUEEZE, MapSpec, squeeze_box
-from .metric import ChainMetricProfile
 
 
 def _fmt(x: float) -> str:
@@ -269,7 +267,7 @@ def load_model(path: str, lines=None) -> ContinuumModel | PointCloud:
 # function-system files
 
 
-def _map_flags(spec: MapSpec) -> str:
+def _map_flags(spec: ifs_mod.MapSpec) -> str:
     """The ``lip=``/``attested`` suffix of a map line or an ``end`` line.
 
     A line keeps a map's bound but not the region it holds on. Reading the
@@ -277,8 +275,8 @@ def _map_flags(spec: MapSpec) -> str:
     so a map with another region is refused: its bound would come back
     claimed on a larger domain.
     """
-    if spec.kind == KIND_SQUEEZE:
-        kept = np.array_equal(spec.region, squeeze_box(spec.dimension))
+    if spec.kind == ifs_mod.KIND_SQUEEZE:
+        kept = np.array_equal(spec.region, ifs_mod.squeeze_box(spec.dimension))
     else:
         kept = spec.region is None
     if not kept:
@@ -290,15 +288,15 @@ def _map_flags(spec: MapSpec) -> str:
     return flags + (" attested" if spec.weak_attested else "")
 
 
-def _map_line(spec: MapSpec) -> str:
-    if spec.kind == KIND_AFFINE:
+def _map_line(spec: ifs_mod.MapSpec) -> str:
+    if spec.kind == ifs_mod.KIND_AFFINE:
         nums = list(spec.matrix.ravel()) + list(spec.offset)
         body = "affine " + " ".join(_fmt(v) for v in nums)
-    elif spec.kind == KIND_SQUEEZE:
+    elif spec.kind == ifs_mod.KIND_SQUEEZE:
         body = f"needle_h1 {_fmt(spec.sharpness)}"
-    elif spec.kind == KIND_RIPPLE:
+    elif spec.kind == ifs_mod.KIND_RIPPLE:
         body = "needle_h2"
-    elif spec.kind == KIND_CLOSED_FORM:
+    elif spec.kind == ifs_mod.KIND_CLOSED_FORM:
         body = f"closed_form {spec.form} " + " ".join(_fmt(p) for p in spec.params)
     else:
         # the file format has no nested compositions
@@ -306,12 +304,12 @@ def _map_line(spec: MapSpec) -> str:
     return body + _map_flags(spec)
 
 
-def ifs_text(ifs: IfsSpec) -> str:
+def ifs_text(ifs: ifs_mod.IfsSpec) -> str:
     out = io.StringIO()
     out.write(f"dim {ifs.dimension}\n")
     out.write(f"mode {ifs.mode}\n")
     for spec in ifs.maps:
-        if spec.kind == KIND_COMPOSITION:
+        if spec.kind == ifs_mod.KIND_COMPOSITION:
             out.write("begin\n")
             for part in spec.parts:
                 out.write(_map_line(part) + "\n")
@@ -321,7 +319,7 @@ def ifs_text(ifs: IfsSpec) -> str:
     return out.getvalue()
 
 
-def save_ifs(ifs: IfsSpec, path: str) -> None:
+def save_ifs(ifs: ifs_mod.IfsSpec, path: str) -> None:
     atomic_write(path, ifs_text(ifs))
 
 
@@ -337,21 +335,21 @@ def _pop_map_flags(tokens: list[str], where: str):
     return lip, attested
 
 
-def _map_spec(where: str, *args, **kw) -> MapSpec:
+def _map_spec(where: str, *args, **kw) -> ifs_mod.MapSpec:
     """``MapSpec(*args, **kw)``, its ``ValueError`` prefixed with ``where``.
 
     A squeeze builds its box in the file's ``dim``; a ``dim`` too large for
     memory is a bad file too.
     """
     try:
-        return MapSpec(*args, **kw)
+        return ifs_mod.MapSpec(*args, **kw)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
     except MemoryError as exc:
         raise ValueError(f"{where}: out of memory building the map ({exc})") from None
 
 
-def _parse_map_tokens(tokens: list[str], dim: int, where: str) -> MapSpec:
+def _parse_map_tokens(tokens: list[str], dim: int, where: str) -> ifs_mod.MapSpec:
     lip, attested = _pop_map_flags(tokens, where)
     if not tokens:
         raise ValueError(f"{where}: flags without a map")
@@ -380,13 +378,13 @@ def _parse_map_tokens(tokens: list[str], dim: int, where: str) -> MapSpec:
     return _map_spec(where, head, dim, lip_bound=lip, weak_attested=attested, **fields)
 
 
-def load_ifs(path: str) -> IfsSpec:
+def load_ifs(path: str) -> ifs_mod.IfsSpec:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     dim = 2
     mode = "strict"
-    maps: list[MapSpec] = []
-    block: list[MapSpec] | None = None
+    maps: list[ifs_mod.MapSpec] = []
+    block: list[ifs_mod.MapSpec] | None = None
     for i, raw in enumerate(lines):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -409,7 +407,7 @@ def load_ifs(path: str) -> IfsSpec:
             if block is None:
                 raise ValueError(f"{where}: end without begin")
             lip, attested = _pop_map_flags(tokens, where)
-            maps.append(_map_spec(where, KIND_COMPOSITION, dim, parts=tuple(block),
+            maps.append(_map_spec(where, ifs_mod.KIND_COMPOSITION, dim, parts=tuple(block),
                                   lip_bound=lip, weak_attested=attested))
             block = None
         else:
@@ -422,7 +420,7 @@ def load_ifs(path: str) -> IfsSpec:
         raise ValueError(f"{path}: unterminated begin block")
     if not maps:
         raise ValueError(f"{path}: no maps")
-    return IfsSpec(tuple(maps), mode=mode, dimension=dim)
+    return ifs_mod.IfsSpec(tuple(maps), mode=mode, dimension=dim)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +430,7 @@ def load_ifs(path: str) -> IfsSpec:
 PROFILE_HEADER = ["epsilon", "pitch", "value"]
 
 
-def profile_csv(profile: ChainMetricProfile) -> str:
+def profile_csv(profile: metric.ChainMetricProfile) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PROFILE_HEADER)
@@ -441,7 +439,7 @@ def profile_csv(profile: ChainMetricProfile) -> str:
     return out.getvalue()
 
 
-def save_profile(profile: ChainMetricProfile, path: str) -> None:
+def save_profile(profile: metric.ChainMetricProfile, path: str) -> None:
     atomic_write(path, profile_csv(profile))
 
 
@@ -485,7 +483,7 @@ def _param_str(value) -> str:
     return str(value)
 
 
-def certificate_text(cert: Certificate) -> str:
+def certificate_text(cert: certify.Certificate) -> str:
     out = io.StringIO()
     out.write(f"claim={cert.claim}\n")
     out.write(f"verdict={cert.verdict}\n")

@@ -23,6 +23,9 @@ _SLACK = 1e-13
 
 _PAIR_CHUNK = 2_000_000
 
+# the most samples one polyline or one refined model may hold
+_MAX_SAMPLE_POINTS = 20_000_000
+
 
 def as_point(coords, dimension: int | None = None) -> Point:
     """Coerce ``coords`` to a finite 1-D float64 point."""
@@ -176,7 +179,13 @@ def sample_polyline(line: Polyline, delta: float) -> PointCloud:
     a, b = line.segments()
     seg = b - a
     lens = np.linalg.norm(seg, axis=1)
-    counts = np.maximum(1, np.ceil(lens / delta)).astype(np.int64)
+    with np.errstate(over="ignore"):
+        counts = np.maximum(1, np.ceil(lens / delta))
+        wanted = counts.sum() + (not line.closed)
+    if wanted > _MAX_SAMPLE_POINTS:  # so the int64 cast below cannot wrap
+        raise ValueError(f"polyline sampling too fine: pitch {delta:.3g} needs {wanted:.3g} points, "
+                         f"above {_MAX_SAMPLE_POINTS}")
+    counts = counts.astype(np.int64)
     total = int(counts.sum())
     reps = np.repeat(np.arange(len(lens)), counts)
     offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)

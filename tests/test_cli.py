@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -235,12 +236,38 @@ def test_plot_draws_a_chain_value_of_zero(tmp_path):
     assert text.count('r="5"') == 3  # the two positive values and the 0
 
 
-def test_cli_import_loads_no_url_or_tls_modules():
-    # xml.sax.saxutils pulls in urllib.request, http.client and ssl
+def test_cli_import_loads_no_url_or_tls_modules(tmp_path):
+    # xml.sax.saxutils pulls in urllib.request, http.client and ssl; scipy
+    # comes with metric, ifs and certify, which no build or plot runs
+    assert run("build", "zigzag", "--n", "1", "--out", str(tmp_path / "l1.model"), "--quiet") == 0
+    (tmp_path / "profile.csv").write_text("epsilon,pitch,value\n0.1,0.01,2\n0.05,0.005,\n")
     probe = ("import sys, ifscert.cli; "
-             "print(sorted({'xml.sax.saxutils', 'urllib.request', 'ssl'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env(), check=True)
-    assert out.stdout.strip() == "[]"
+             "assert not sys.argv[1:] or ifscert.cli.main(sys.argv[1:]) == 0; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+             "or m in {'xml.sax.saxutils', 'urllib.request', 'ssl'}))")
+    for argv in ([], ["build", "needle"], ["build", "P"], ["build", "zigzag"], ["plot", "l1.model"],
+                 ["plot", "profile.csv"]):
+        out = subprocess.run([sys.executable, "-c", probe, *argv, *(["--quiet"] if argv else [])],
+                             cwd=tmp_path, capture_output=True, text=True, env=_subprocess_env())
+        assert (out.returncode, out.stdout.strip()) == (0, "[]"), (argv, out.stderr)
+
+
+def test_public_names_resolve_to_their_home_modules():
+    for name in ("metric", "ifs", "certify"):
+        assert getattr(ifscert, name) is sys.modules[f"ifscert.{name}"]
+    for name in ifscert.__all__:
+        scope = {}
+        exec(f"from ifscert import {name}", scope)
+        obj = scope[name]
+        if isinstance(obj, type(ifscert)):
+            assert obj is sys.modules[f"ifscert.{name}"]
+        else:
+            assert obj.__module__.startswith("ifscert.")
+            assert getattr(sys.modules[obj.__module__], name) is obj
+    with pytest.raises(AttributeError):
+        getattr(ifscert, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from ifscert import no_such_name", {})
 
 
 def test_svg_escape_matches_saxutils():
@@ -430,6 +457,23 @@ def test_numeric_flags_must_be_finite_and_positive(tmp_path, halves_ifs, capfd, 
     assert err.startswith("error: ") and err.count("\n") == 1
     assert name in err
     assert not (tmp_path / "out.model").exists()
+
+
+def test_sampling_too_fine_is_one_error_line(tmp_path, capfd):
+    # ceil(length / pitch) past the int64 range wrapped negative in the cast
+    p_model, line, const = (str(tmp_path / name) for name in ("P.model", "l1.model", "const.ifs"))
+    (tmp_path / "const.ifs").write_text("dim 2\nmode strict\naffine 0 0 0 0 0 0\n")
+    assert run("build", "P", "--n-max", "1", "--out", p_model, "--quiet") == 0
+    assert run("build", "zigzag", "--n", "1", "--out", line, "--quiet") == 0
+    capfd.readouterr()
+    for argv in (["certify", "p-coverage", "--ifs", const, "--model", p_model, "--delta", "1e-20"],
+                 ["chain", line, "p0", "p1", "--eps0", "1e-18", "--kmax", "0"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(*argv)
+        out, err = capfd.readouterr()
+        assert (rc, out, caught) == (2, "", [])
+        assert err.startswith("error: polyline sampling too fine") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag, value, name", [
