@@ -41,8 +41,8 @@ _HOMES = {
         "monotonicity_check",
     ), "metric"),
     **dict.fromkeys((
-        "build_needle", "build_P", "build_zigzag_ln", "default_needle_base", "needle_h1",
-        "needle_h2", "needle_map", "needle_wave", "verify_P",
+        "build_needle", "build_P", "build_zigzag_ln", "needle_h1", "needle_h2", "needle_map",
+        "needle_wave", "verify_P",
     ), "continua"),
     **dict.fromkeys((
         "AttractorResult", "ContractionVerdict", "IfsSpec", "MapSpec", "affine_map", "attractor",

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .continua import needle_offset
 from .geometry import ContinuumModel, PointCloud, Polyline, polyline_length, sample_polyline
@@ -57,6 +56,10 @@ class Certificate:
         for _, v in wit:
             v.setflags(write=False)
         object.__setattr__(self, "witnesses", wit)
+
+
+def _inconclusive(claim: str, params: dict, *notes: str) -> Certificate:
+    return Certificate(claim, VERDICT_INCONCLUSIVE, 0.0, (), params, notes)
 
 
 def length_budget(i: int, n: int) -> bool:
@@ -109,13 +112,8 @@ def fixed_set_check(ifs: IfsSpec, model: ContinuumModel, delta: float) -> Certif
             ((side, far),),
             params,
         )
-    return Certificate(
-        "model-is-not-the-fixed-set",
-        VERDICT_INCONCLUSIVE,
-        0.0,
-        (),
-        params,
-        ("set-map step stayed within the resolution threshold",),
+    return _inconclusive(
+        "model-is-not-the-fixed-set", params, "set-map step stayed within the resolution threshold"
     )
 
 
@@ -133,10 +131,14 @@ def _require_P(model: ContinuumModel) -> int:
 
 
 def _require_needle(model: ContinuumModel) -> None:
-    """Raise unless ``model`` is a needle whose ``refine`` follows the curve."""
+    """Raise unless ``model`` is the default needle (``meta base default``).
+
+    It is the only needle that ``build_needle`` makes and the only one whose
+    resampler ``load_model`` rebuilds, and ``needle_offset`` measures it.
+    """
     if model.meta.get("kind") != "needle":
         raise ValueError("model is not a needle (missing 'kind' metadata)")
-    if model.meta.get("base") != "default" and model.sampler is None:
+    if model.meta.get("base") != "default":
         raise ValueError("only default-base needle files can be rebuilt")
     if "h(p)" not in model.marked:
         raise ValueError("model lacks the marked point 'h(p)'")
@@ -158,12 +160,11 @@ def p_point_coverage(ifs: IfsSpec, model: ContinuumModel, delta: float) -> Certi
     best = {n: math.inf for n, _ in targets}
     contributions: dict[int, list[tuple[int, int]]] = {n: [] for n, _ in targets}
     threshold = _COVER_PITCHES * delta
+    tips = np.array([pt for _, pt in targets])
     for j, f in enumerate(ifs.maps):
         for i, cloud in enumerate(clouds, start=1):
-            img = eval_map(f, cloud.points)
-            tree = cKDTree(img)
-            for n, pt in targets:
-                d = float(tree.query(pt)[0])
+            dists = nearest_samples(eval_map(f, cloud.points), tips)[0]
+            for (n, _), d in zip(targets, dists.tolist()):
                 best[n] = min(best[n], d)
                 if d <= threshold:
                     contributions[n].append((j, i))
@@ -191,14 +192,8 @@ def p_point_coverage(ifs: IfsSpec, model: ContinuumModel, delta: float) -> Certi
                 f"p{n} is covered only by origin-fixing maps through pieces with "
                 f"insufficient length budget; likely a resolution artifact"
             )
-    return Certificate(
-        "union-is-not-the-fixed-set",
-        VERDICT_INCONCLUSIVE,
-        0.0,
-        (),
-        params,
-        tuple(notes) if notes else ("every tip is covered at this resolution",),
-    )
+    notes = notes or ["every tip is covered at this resolution"]
+    return _inconclusive("union-is-not-the-fixed-set", params, *notes)
 
 
 def needle_dichotomy_check(
@@ -217,9 +212,10 @@ def needle_dichotomy_check(
     the divergent chain to it must exceed the geometric series bound built
     from one convergent step; the only escape is the constant map onto the
     attachment point, reported as ``consistent``. ``classify_pairs=0`` skips
-    the empirical contraction screening (diagnostic use). ``model`` must be a
-    needle (``meta kind needle``, as ``build_needle`` makes); a custom-base
-    needle needs its sampler, which a model file does not keep.
+    the empirical contraction screening (diagnostic use). ``model`` must be
+    the default needle (``meta kind needle``, ``meta base default``, as
+    ``build_needle`` makes): image points are tested for membership against
+    its defining formula with ``needle_offset``.
     """
     _require_needle(model)
     claim = "map-cannot-contract-the-needle"
@@ -229,18 +225,13 @@ def needle_dichotomy_check(
         "lip_bound": f.lip_bound if f.lip_bound is not None else "none",
     }
 
-    image_pts = eval_map(f, cloud.points)
-    # membership against the defining formula when available: the refined
-    # cloud intentionally under-covers folds below the shortcut scale
-    if model.meta.get("base") == "default":
-        off = needle_offset(image_pts)
-    else:
-        off = cKDTree(cloud.points).query(image_pts, k=1)[0]
+    # membership against the defining formula: the refined cloud
+    # intentionally under-covers folds below the shortcut scale
+    off = needle_offset(eval_map(f, cloud.points))
     worst = int(np.argmax(off))
     if off[worst] > _COVER_PITCHES * delta:
-        return Certificate(
-            claim, VERDICT_INCONCLUSIVE, 0.0, (), params,
-            (f"not a self-map at this resolution: image point strays {off[worst]:.3g}",),
+        return _inconclusive(
+            claim, params, f"not a self-map at this resolution: image point strays {off[worst]:.3g}"
         )
 
     if classify_pairs:
@@ -256,9 +247,8 @@ def needle_dichotomy_check(
 
     lam = f.lip_bound
     if lam is None or not lam < 1:
-        return Certificate(
-            claim, VERDICT_INCONCLUSIVE, 0.0, (), params,
-            ("the dichotomy bound needs a declared Lipschitz bound below one",),
+        return _inconclusive(
+            claim, params, "the dichotomy bound needs a declared Lipschitz bound below one"
         )
 
     hp = model.marked["h(p)"]
@@ -288,27 +278,22 @@ def _dichotomy_fixed_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, c
                     claim, VERDICT_CONSISTENT, 0.0, (("fixed-point", hp),), params,
                     ("constant map onto the attachment point; the allowed degenerate case",),
                 )
-            return Certificate(
-                claim, VERDICT_INCONCLUSIVE, 0.0, (), params,
-                ("image collapses near the attachment point but is not constant",),
+            return _inconclusive(
+                claim, params, "image collapses near the attachment point but is not constant"
             )
         x = cloud.points[best]
     fx = _snap_to_cloud(cloud, eval_map(f, x[None, :])[0])
     step, divergent = chain_profiles(model, [(x, fx), (x, hp)], eps0, k_max)
     params["step_verdict"] = step.verdict
     if step.verdict != "converges":
-        return Certificate(
-            claim, VERDICT_INCONCLUSIVE, 0.0, (), params,
-            ("the one-step chain between x and f(x) did not settle",),
-        )
+        return _inconclusive(claim, params, "the one-step chain between x and f(x) did not settle")
     series_bound = step.limit / (1.0 - lam)
     params["series_bound"] = series_bound
     params["divergent_verdict"] = divergent.verdict
     params["divergent_value"] = float(divergent.values[-1])
     if divergent.verdict != "diverges":
-        return Certificate(
-            claim, VERDICT_INCONCLUSIVE, 0.0, (), params,
-            ("the chain to the attachment point did not visibly blow up",),
+        return _inconclusive(
+            claim, params, "the chain to the attachment point did not visibly blow up"
         )
     margin = float(divergent.values[-1]) - series_bound
     if margin > 0:
@@ -319,9 +304,8 @@ def _dichotomy_fixed_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, c
             ("chains to the attachment point exceed the geometric series any "
              "contraction fixing it would allow",),
         )
-    return Certificate(
-        claim, VERDICT_INCONCLUSIVE, 0.0, (), params,
-        ("resolution too coarse: the divergent chain has not passed the series bound yet",),
+    return _inconclusive(
+        claim, params, "resolution too coarse: the divergent chain has not passed the series bound yet"
     )
 
 
@@ -331,19 +315,15 @@ def _dichotomy_moved_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, c
     self_dist = np.linalg.norm(cloud.points - hp, axis=1)
     hits = to_hp <= delta
     if not hits.any():
-        return Certificate(
-            claim, VERDICT_INCONCLUSIVE, 0.0, (), params,
-            ("no sampled point maps onto the attachment point",),
-        )
+        return _inconclusive(claim, params, "no sampled point maps onto the attachment point")
     # both probes stand clear of the attachment point, else their own
     # chains blow up and the comparison says nothing
     src = int(np.argmax(np.where(hits, self_dist, -np.inf)))
     extent = float(np.linalg.norm(cloud.points.max(0) - cloud.points.min(0)))
     clear = (to_hp > 2 * delta) & (self_dist >= max(10 * delta, extent / 8))
     if not clear.any():
-        return Certificate(
-            claim, VERDICT_INCONCLUSIVE, 0.0, (), params,
-            ("the image never leaves the attachment point's neighbourhood",),
+        return _inconclusive(
+            claim, params, "the image never leaves the attachment point's neighbourhood"
         )
     far_idx = int(np.argmax(np.where(clear, to_hp, -np.inf)))
     x = cloud.points[src]
@@ -352,22 +332,15 @@ def _dichotomy_moved_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, c
     convergent, divergent = chain_profiles(model, [(x, y), (hp, fy)], eps0, k_max)
     params["source_verdict"] = convergent.verdict
     if convergent.verdict != "converges":
-        return Certificate(
-            claim, VERDICT_INCONCLUSIVE, 0.0, (), params,
-            ("the source chain did not settle",),
-        )
+        return _inconclusive(claim, params, "the source chain did not settle")
     params["image_verdict"] = divergent.verdict
     params["image_value"] = float(divergent.values[-1])
     if divergent.verdict != "diverges":
-        return Certificate(
-            claim, VERDICT_INCONCLUSIVE, 0.0, (), params,
-            ("the image chain did not visibly blow up",),
-        )
+        return _inconclusive(claim, params, "the image chain did not visibly blow up")
     margin = float(divergent.values[-1]) - lam * convergent.limit
     if margin <= 0:
-        return Certificate(
-            claim, VERDICT_INCONCLUSIVE, 0.0, (), params,
-            ("resolution too coarse to separate the image chain from the source chain",),
+        return _inconclusive(
+            claim, params, "resolution too coarse to separate the image chain from the source chain"
         )
     return Certificate(
         claim, VERDICT_CERTIFIED, margin,

@@ -21,10 +21,8 @@ from .geometry import (
     _MAX_SAMPLE_POINTS,
     _candidate_pairs,
     _segment_distance_batch,
-    as_point,
     polar_to_cartesian,
     polyline_length,
-    sample_polyline,
     self_intersects,
 )
 
@@ -163,88 +161,6 @@ def _needle_zone_points(delta: float, shortcut_scale: float) -> np.ndarray:
     return np.column_stack((xs, needle_wave(xs)))
 
 
-def default_needle_base(dimension: int = 2) -> ContinuumModel:
-    """Unit segment along the first axis with marked endpoints ``p`` and ``q``."""
-    if dimension < 2:
-        raise ValueError("the needle lives in dimension >= 2")
-    p = np.zeros(dimension)
-    q = np.zeros(dimension)
-    q[0] = 1.0
-    return ContinuumModel(
-        (Polyline(np.vstack([p, q])),),
-        {"p": p, "q": q},
-        dimension,
-        meta={"kind": "segment"},
-    )
-
-
-def _validate_needle_base(base: ContinuumModel, delta: float) -> None:
-    cloud = base.refine(min(delta, 1e-3))
-    pts = cloud.points
-    if pts[:, 0].min() < -1e-9 or pts[:, 0].max() > 1 + 1e-9:
-        raise ValueError("base first coordinate must stay in [0, 1]")
-    if base.dimension > 1 and np.abs(pts[:, 1:]).max() > 1 + 1e-9:
-        raise ValueError("base coordinates beyond the first must stay in [-1, 1]")
-    if "p" not in base.marked:
-        raise ValueError("base must mark its attachment point 'p'")
-    p = base.marked["p"]
-    if abs(p[0]) > 1e-12:
-        raise ValueError("the attachment point must sit on the x1 = 0 face")
-    face = pts[pts[:, 0] <= 1e-9]
-    if len(face) and np.linalg.norm(face - p, axis=1).max() > 2 * cloud.pitch:
-        raise ValueError("base meets the x1 = 0 face away from the attachment point")
-
-
-def _mapped_base_cloud(base: ContinuumModel, sharpness: float, delta: float) -> PointCloud:
-    """Image of a custom base under the embedding, sampled at image pitch ``delta``.
-
-    Splits each base segment at dyadic x1 boundaries and samples each part at
-    ``delta`` over its local Lipschitz bound; the tip band is handled through
-    the amplitude bound ``|wave| <= sqrt(x1)`` instead of a slope bound.
-    """
-    a_tip = (delta / 8) ** 2
-    h1_factor = math.sqrt(1.0 + base.dimension / sharpness**2)
-    chunks = []
-    total = 0
-    for piece in base.pieces:
-        starts, ends = piece.segments()
-        for u, v in zip(starts, ends):
-            lo, hi = sorted((u[0], v[0]))
-            cuts = [0.0]
-            b = a_tip
-            while b < hi:
-                if b > lo:
-                    cuts.append(b)
-                b *= 2
-            cuts.append(hi)
-            # sample each x1 band of the segment at its own pitch
-            span = np.linalg.norm(v - u)
-            x_lo, x_hi = u[0], v[0]
-            for c0, c1 in zip(cuts[:-1], cuts[1:]):
-                c0c, c1c = max(c0, lo), min(c1, hi)
-                if c1c <= c0c and not (lo == hi and c0 <= lo <= c1):
-                    continue
-                band_lo = max(c0c, a_tip)
-                lip = 2.0 if c1c <= a_tip else h1_factor * (1.0 + needle_wave_slope_bound(band_lo))
-                # parameter range of this band along the segment
-                if x_hi != x_lo:
-                    t0 = (c0c - x_lo) / (x_hi - x_lo)
-                    t1 = (c1c - x_lo) / (x_hi - x_lo)
-                    t0, t1 = min(t0, t1), max(t0, t1)
-                else:
-                    t0, t1 = 0.0, 1.0
-                seg_len = span * (t1 - t0)
-                m = max(1, int(math.ceil(seg_len * lip / delta)))
-                total += m + 1
-                if total > _MAX_SAMPLE_POINTS:
-                    raise ValueError("base refinement too fine; raise delta")
-                ts = np.linspace(t0, t1, m + 1)
-                chunks.append(u + ts[:, None] * (v - u))
-    pts = np.vstack(chunks)
-    image = needle_map(pts, sharpness)
-    return PointCloud(image, float(delta))
-
-
 def default_needle_sampler() -> Callable[[float], PointCloud]:
     """On-curve resampler for the default needle, any pitch."""
 
@@ -254,17 +170,12 @@ def default_needle_sampler() -> Callable[[float], PointCloud]:
     return sampler
 
 
-def build_needle(
-    sharpness: float = DEFAULT_SHARPNESS,
-    delta: float = 1e-3,
-    base: ContinuumModel | None = None,
-) -> ContinuumModel:
-    """Embed a base model (default: the unit segment) as a needle.
+def build_needle(sharpness: float = DEFAULT_SHARPNESS, delta: float = 1e-3) -> ContinuumModel:
+    """Embed the unit segment from ``p = 0`` to ``q = e1`` as the needle in the plane.
 
     The returned model's ``refine`` regenerates on-curve samples at any pitch
-    from the defining formula. Marked points: ``h(p)`` for the attachment
-    point, ``far`` for the image of ``q`` when the base marks one, and
-    ``h(<label>)`` otherwise.
+    from the defining formula. Marked points: ``h(p)``, the attachment point
+    at the origin, and ``far``, the image of ``q``.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -274,31 +185,13 @@ def build_needle(
         "kind": "needle",
         "sharpness": repr(float(sharpness)),
         "delta": repr(float(delta)),
-        "base": "default" if base is None else "custom",
+        "base": "default",
     }
-    if base is None:
-        pts = _needle_zone_points(delta, SHORTCUT_PITCHES * delta)
-        pieces = (Polyline(pts, name="needle"),)
-        marked = {
-            "h(p)": np.zeros(2),
-            "far": np.array([1.0, float(needle_wave(1.0))]),
-        }
-        return ContinuumModel(pieces, marked, 2, sampler=default_needle_sampler(), meta=meta)
-
-    _validate_needle_base(base, delta)
-    marked = {}
-    for label, pt in base.marked.items():
-        new = "far" if label == "q" else f"h({label})"
-        marked[new] = needle_map(pt[None, :], sharpness)[0]
-
-    def sampler(d: float, _b=base, _s=sharpness) -> PointCloud:
-        return _mapped_base_cloud(_b, _s, d)
-
-    pieces = tuple(
-        Polyline(needle_map(sample_polyline(piece, delta).points, sharpness), name=piece.name)
-        for piece in base.pieces
+    pts = _needle_zone_points(delta, SHORTCUT_PITCHES * delta)
+    marked = {"h(p)": np.zeros(2), "far": np.array([1.0, float(needle_wave(1.0))])}
+    return ContinuumModel(
+        (Polyline(pts, name="needle"),), marked, 2, sampler=default_needle_sampler(), meta=meta
     )
-    return ContinuumModel(pieces, marked, base.dimension, sampler=sampler, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -212,18 +212,10 @@ def test_dichotomy_needs_a_bound_when_screening_passes(needle):
 # --- model kind ------------------------------------------------------------------
 
 
-def test_certificates_check_n_max_and_the_needle_sampler():
-    # the wrong kind of model is refused in tests/test_continua.py
+def test_p_coverage_checks_the_recorded_n_max():
+    # the wrong kind of model is refused in tests/test_continua.py, and a
+    # needle file with another base in tests/test_cli.py
     P = build_P(2)
     extra = replace(P, meta={**P.meta, "n_max": "3"})
     with pytest.raises(ValueError, match="does not match the recorded n_max"):
         p_point_coverage(IfsSpec((_const_map(),)), extra, 1e-2)
-    # a custom-base needle resamples through its builder's sampler, which a
-    # model file does not keep; without it the needle is refused
-    seg = Polyline(np.array([[0.0, 0.5], [1.0, 0.5]]))
-    base = ContinuumModel((seg,), {"p": np.array([0.0, 0.5]), "q": np.array([1.0, 0.5])}, 2)
-    custom = build_needle(100.0, 1e-2, base=base)
-    with pytest.raises(ValueError, match="default-base"):
-        needle_dichotomy_check(_const_map(), replace(custom, sampler=None), classify_pairs=0)
-    cert = needle_dichotomy_check(_const_map(), custom, delta=1e-2, k_max=2, classify_pairs=0)
-    assert cert.verdict == "consistent"

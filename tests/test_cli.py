@@ -154,11 +154,15 @@ def test_build_P_at_n_max_7_exits_0(tmp_path):
     assert model.marked.keys() == {f"p{n}" for n in range(8)}
 
 
-@pytest.mark.parametrize("kind, meta, label", [
-    ("p-coverage", "meta kind P\nmeta n_max 1\n", "p1"),
-    ("needle-dichotomy", "meta kind needle\nmeta base default\n", "h(p)"),
-], ids=["p-coverage", "needle-dichotomy"])
-def test_certificates_name_a_missing_marked_point(tmp_path, capfd, kind, meta, label):
+@pytest.mark.parametrize("kind, meta, message", [
+    ("p-coverage", "meta kind P\nmeta n_max 1\n", "model lacks the marked point 'p1'"),
+    ("needle-dichotomy", "meta kind needle\nmeta base default\n",
+     "model lacks the marked point 'h(p)'"),
+    # only the default needle has a sampler to rebuild; the base is refused first
+    ("needle-dichotomy", "meta kind needle\nmeta base custom\n",
+     "only default-base needle files can be rebuilt"),
+], ids=["p-coverage", "needle-dichotomy", "needle-custom-base"])
+def test_certificates_name_a_missing_marked_point(tmp_path, capfd, kind, meta, message):
     # one polyline and a marked point other than the one the certificate reads
     model = tmp_path / "m.model"
     model.write_text(f"dim 2\n{meta}polyline a 2\n0 0\n1 0\nmarked p0 0 0\n")
@@ -168,7 +172,7 @@ def test_certificates_name_a_missing_marked_point(tmp_path, capfd, kind, meta, l
     stdout, err = capfd.readouterr()
     assert rc == 2
     assert stdout == ""
-    assert err == f"error: model lacks the marked point {label!r}\n"
+    assert err == f"error: {message}\n"
 
 
 def test_certify_dichotomy_paths(tmp_path, capsys):

@@ -7,7 +7,6 @@ from ifscert.continua import (
     build_needle,
     build_P,
     build_zigzag_ln,
-    default_needle_base,
     needle_h1,
     needle_h2,
     needle_map,
@@ -160,24 +159,6 @@ def test_needle_offset_vertical_distance_properties():
     assert off[0] == pytest.approx(0.2, rel=1e-12)
     beyond = needle_offset(np.array([[1.5, float(needle_wave(1.0))]]))
     assert beyond[0] >= 0.5
-
-
-def test_custom_base_needle_maps_marked_points():
-    seg = Polyline(np.array([[0.0, 0.5], [1.0, 0.5]]))
-    base = ContinuumModel((seg,), {"p": np.array([0.0, 0.5]), "q": np.array([1.0, 0.5])}, 2)
-    needle = build_needle(100.0, 1e-2, base=base)
-    assert "h(p)" in needle.marked and "far" in needle.marked
-    assert np.allclose(needle.marked["h(p)"], [0.0, 0.0])
-    got = needle.marked["far"]
-    want = needle_map(np.array([[1.0, 0.5]]), 100.0)[0]
-    assert np.allclose(got, want)
-
-
-def test_custom_base_must_attach_at_the_tip():
-    seg = Polyline(np.array([[0.2, 0.0], [1.0, 0.0]]))
-    base = ContinuumModel((seg,), {"p": np.array([0.2, 0.0])}, 2)
-    with pytest.raises(ValueError, match="p"):
-        build_needle(100.0, 1e-2, base=base)
 
 
 # --- zigzag lines and their union -------------------------------------------
