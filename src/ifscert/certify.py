@@ -227,7 +227,8 @@ def needle_dichotomy_check(
 
     # membership against the defining formula: the refined cloud
     # intentionally under-covers folds below the shortcut scale
-    off = needle_offset(eval_map(f, cloud.points))
+    images = eval_map(f, cloud.points)
+    off = needle_offset(images)
     worst = int(np.argmax(off))
     if off[worst] > _COVER_PITCHES * delta:
         return _inconclusive(
@@ -254,21 +255,20 @@ def needle_dichotomy_check(
     hp = model.marked["h(p)"]
     fhp = eval_map(f, hp[None, :])[0]
     if float(np.linalg.norm(fhp - hp)) <= delta:
-        return _dichotomy_fixed_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, cloud)
-    return _dichotomy_moved_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, cloud)
+        return _dichotomy_fixed_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, cloud, images)
+    return _dichotomy_moved_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, cloud, images)
 
 
 def _snap_to_cloud(cloud: PointCloud, pt: np.ndarray) -> np.ndarray:
     return cloud.points[nearest_samples(cloud.points, pt[None, :])[1][0]]
 
 
-def _dichotomy_fixed_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, cloud):
+def _dichotomy_fixed_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, cloud, images):
     far = model.marked.get("far")
     fx_far = eval_map(f, far[None, :])[0] if far is not None else None
     if fx_far is not None and np.linalg.norm(fx_far - hp) > 2 * delta:
         x = far
     else:
-        images = eval_map(f, cloud.points)
         dists = np.linalg.norm(images - hp, axis=1)
         best = int(np.argmax(dists))
         if dists[best] <= 2 * delta:
@@ -309,8 +309,7 @@ def _dichotomy_fixed_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, c
     )
 
 
-def _dichotomy_moved_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, cloud):
-    images = eval_map(f, cloud.points)
+def _dichotomy_moved_tip(f, model, hp, eps0, k_max, delta, lam, claim, params, cloud, images):
     to_hp = np.linalg.norm(images - hp, axis=1)
     self_dist = np.linalg.norm(cloud.points - hp, axis=1)
     hits = to_hp <= delta

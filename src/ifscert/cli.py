@@ -34,7 +34,7 @@ _VERDICT_EXIT = {
 
 # flags (by argparse dest) that must be finite and positive, or (integer
 # flags) at least 0, wherever they occur
-_POSITIVE_FLAGS = ("delta", "tol", "eps0", "pitch_ratio", "sharpness")
+_POSITIVE_FLAGS = ("delta", "tol", "eps0", "pitch_ratio")
 _NONNEGATIVE_FLAGS = ("kmax", "classify_pairs")
 
 
@@ -76,7 +76,7 @@ def _emit_certificate(args, cert: certify.Certificate) -> int:
 
 def _cmd_build(args) -> int:
     if args.kind == "needle":
-        model = continua.build_needle(args.sharpness, args.delta)
+        model = continua.build_needle(args.delta)
         default_out = "needle.model"
     elif args.kind == "P":
         model = continua.build_P(args.n_max)
@@ -220,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", parents=[common], help="construct a model file")
     p_build.add_argument("kind", choices=["needle", "P", "zigzag"])
     p_build.add_argument("--delta", type=float, default=1e-3, help="sampling pitch (needle)")
-    p_build.add_argument("--sharpness", type=float, default=continua.DEFAULT_SHARPNESS)
     p_build.add_argument("--n-max", type=int, default=6, help="largest scale index (P)")
     p_build.add_argument("--n", type=int, default=3, help="scale index (zigzag)")
     p_build.set_defaults(func=_cmd_build)

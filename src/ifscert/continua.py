@@ -170,7 +170,7 @@ def default_needle_sampler() -> Callable[[float], PointCloud]:
     return sampler
 
 
-def build_needle(sharpness: float = DEFAULT_SHARPNESS, delta: float = 1e-3) -> ContinuumModel:
+def build_needle(delta: float = 1e-3) -> ContinuumModel:
     """Embed the unit segment from ``p = 0`` to ``q = e1`` as the needle in the plane.
 
     The returned model's ``refine`` regenerates on-curve samples at any pitch
@@ -179,11 +179,9 @@ def build_needle(sharpness: float = DEFAULT_SHARPNESS, delta: float = 1e-3) -> C
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if not 0 < sharpness < math.inf:
-        raise ValueError("sharpness must be finite and positive")
     meta = {
         "kind": "needle",
-        "sharpness": repr(float(sharpness)),
+        "sharpness": repr(DEFAULT_SHARPNESS),
         "delta": repr(float(delta)),
         "base": "default",
     }

@@ -315,29 +315,21 @@ def nearest_samples(samples: np.ndarray, points: np.ndarray) -> tuple[np.ndarray
     """Distance to and index of the nearest row of ``samples`` for each row of ``points``.
 
     An exact scan, for a handful of points, in place of a KD-tree over all
-    the samples. Each squared distance is summed axis by axis in order, as
-    scipy's KD-tree query sums it in up to seven dimensions, so the nearest
-    distance is the query's float, and so is the nearest sample wherever one
-    sample is nearest. Which of several equally near samples a query returns
-    depends on how it walks the tree. So when the scan finds such a tie, or
-    the points have more than seven axes, the tree is built and its answers
-    returned.
+    the samples. The rule: the nearest sample, ties to the lowest index.
+    Each squared distance is summed axis by axis in order, as scipy's
+    KD-tree query sums it in up to seven dimensions, so there the distance
+    is the query's float.
     """
-    if samples.shape[1] < 8:
-        scans = [_scan_nearest(samples, pt) for pt in points]
-        if None not in scans:
-            return np.array([d for d, _ in scans]), np.array([i for _, i in scans], dtype=np.intp)
-    return cKDTree(samples).query(points)
-
-
-def _scan_nearest(samples: np.ndarray, pt: np.ndarray) -> tuple[float, int] | None:
-    """(distance, index) of the one sample nearest to ``pt``; None if several tie."""
-    sq = np.zeros(len(samples))
-    for axis in range(samples.shape[1]):
-        gap = samples[:, axis] - pt[axis]
-        sq += gap * gap
-    hits = np.flatnonzero(sq == sq.min())
-    return (math.sqrt(sq[hits[0]]), int(hits[0])) if len(hits) == 1 else None
+    dist = np.empty(len(points))
+    idx = np.empty(len(points), dtype=np.intp)
+    for k, pt in enumerate(points):
+        sq = np.zeros(len(samples))
+        for axis in range(samples.shape[1]):
+            gap = samples[:, axis] - pt[axis]
+            sq += gap * gap
+        idx[k] = np.argmin(sq)
+        dist[k] = math.sqrt(sq[idx[k]])
+    return dist, idx
 
 
 def _snap_indices(graph: EpsGraph, points: np.ndarray) -> np.ndarray:

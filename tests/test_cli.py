@@ -439,11 +439,9 @@ def test_chain_rejects_non_finite_schedule_flags(tmp_path, capfd, flag, value):
     (["attractor", "--max-iter", "0"], "max_iter"),
     (["attractor", "--box", "0,0,inf,1"], "--box"),
     (["attractor", "--box", "nan,0,1,1"], "--box"),
-    (["build", "needle", "--sharpness", "nan"], "sharpness"),
-    (["build", "needle", "--sharpness", "inf"], "sharpness"),
     (["build", "needle", "--delta", "1e-9"], "needle refinement too fine; raise delta"),
 ], ids=["delta-inf", "delta-nan", "delta-negative", "eps0-nan", "tol-inf", "max-iter-0", "box-inf", "box-nan",
-        "sharpness-nan", "sharpness-inf", "delta-too-fine"])
+        "delta-too-fine"])
 def test_numeric_flags_must_be_finite_and_positive(tmp_path, halves_ifs, capfd, argv, name):
     seg = tmp_path / "seg.model"
     seg.write_text("dim 2\npolyline seg 2\n0 0\n1 0\nmarked a 0 0\n")

@@ -120,8 +120,6 @@ def test_build_needle_marks_and_meta():
     assert needle.meta["kind"] == "needle"
     with pytest.raises(ValueError):
         build_needle(delta=0.0)
-    with pytest.raises(ValueError):
-        build_needle(sharpness=-1.0)
 
 
 def test_needle_refine_points_are_on_curve_and_chained():

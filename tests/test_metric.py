@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from ifscert import metric
-from ifscert.continua import build_needle
+from ifscert.continua import build_P, build_needle
 from ifscert.geometry import ContinuumModel, PointCloud, Polyline, sample_polyline
 from ifscert.metric import (
     chain_distance,
@@ -145,6 +145,8 @@ def test_chain_profiles_build_no_kdtree_within_the_budget(monkeypatch):
 
     monkeypatch.setattr(metric, "cKDTree", _RecordingTree)
     chain_profiles(build_needle(), [("far", "h(p)"), ("h(p)", "far")], 0.1, 2)
+    # p0 ties: the refined union holds one copy of the origin per piece
+    chain_profiles(build_P(3), [("p0", "p1")], 0.1, 1)
     assert built == []
 
 

@@ -16,8 +16,13 @@ coordinates and coordinates offset by 1e6, and as few as one point; and
 it on several workers; it must equal ``_oracles.hausdorff_reference``, two
 plain single-threaded queries, in distance, side and witness, and its
 per-point distances must equal an unbounded query's bit for bit.
+
+``nearest_samples`` takes the nearest sample, ties to the lowest index. Its
+distance must equal a KD-tree query's in up to seven dimensions, and so
+must its index wherever one sample is nearest.
 """
 
+import math
 import warnings
 from contextlib import nullcontext
 from unittest import mock
@@ -254,6 +259,19 @@ def test_hausdorff_matches_the_reference(clouds, stride, trees, one_worker):
     assert np.array_equal(got[2], want[2])
 
 
+def _nearest_oracle(samples, pt):
+    """(distance, lowest nearest index, every nearest index), squares summed in axis order."""
+    sq = []
+    for row in samples.tolist():
+        total = 0.0
+        for s, p in zip(row, pt.tolist()):
+            total += (s - p) * (s - p)
+        sq.append(total)
+    low = min(sq)
+    tied = [j for j, v in enumerate(sq) if v == low]
+    return math.sqrt(sq[tied[0]]), tied[0], tied
+
+
 @PROPERTY
 @given(st.integers(1, 9), SEEDS, st.booleans())
 def test_nearest_samples_match_the_kdtree(dim, seed, lattice):
@@ -268,5 +286,12 @@ def test_nearest_samples_match_the_kdtree(dim, seed, lattice):
         points = samples[rng.integers(0, n, size=4)] + rng.normal(size=(4, dim)) * 1e-2
     got = metric.nearest_samples(samples, points)
     want = cKDTree(samples).query(points)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+    for k, pt in enumerate(points):
+        dist, first, tied = _nearest_oracle(samples, pt)
+        # the nearest sample, ties to the lowest index
+        assert got[0][k] == dist and got[1][k] == first
+        if dim < 8:
+            # the tree sums squares in axis order too, up to seven axes
+            assert got[0][k] == want[0][k]
+            if len(tied) == 1:
+                assert got[1][k] == want[1][k]
