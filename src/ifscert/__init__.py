@@ -41,14 +41,13 @@ _HOMES = {
         "monotonicity_check",
     ), "metric"),
     **dict.fromkeys((
-        "build_needle", "build_P", "build_zigzag_ln", "needle_h1", "needle_h2", "needle_map",
-        "needle_wave", "verify_P",
+        "build_needle", "build_P", "build_zigzag_ln", "needle_h1", "needle_h2", "needle_wave",
+        "verify_P",
     ), "continua"),
     **dict.fromkeys((
         "AttractorResult", "ContractionVerdict", "IfsSpec", "MapSpec", "affine_map", "attractor",
         "certified_lipschitz", "classify_contraction", "closed_form_map", "composed_map",
-        "eval_map", "hutchinson", "interval_image", "lipschitz_estimate", "ripple_map",
-        "squeeze_map",
+        "eval_map", "hutchinson", "interval_image", "ripple_map", "squeeze_map",
     ), "ifs"),
     **dict.fromkeys((
         "Certificate", "CertificationError", "fixed_set_check", "image_length_bound",

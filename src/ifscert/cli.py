@@ -149,7 +149,7 @@ def _cmd_attractor(args) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["iteration", "step"])
-        for k, s in result.report_rows():
+        for k, s in enumerate(result.steps, start=1):
             writer.writerow([k, format(s, ".17g")])
         formats.atomic_write(args.report, buf.getvalue())
         _say(args, f"wrote {args.report}")
@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_attr.add_argument("--max-iter", type=int, default=60)
     p_attr.add_argument("--seed-cloud", default=None, help="model file for the starting cloud")
     p_attr.add_argument("--box", default="0,0,1,1",
-                        help="starting box corners lo...,hi... when no seed cloud is given")
+                        help="starting box corners lo...,hi... without a seed cloud; negative: --box=-1,-1,1,1")
     p_attr.add_argument("--report", default=None, help="write per-iteration steps as CSV")
     p_attr.set_defaults(func=_cmd_attractor)
 

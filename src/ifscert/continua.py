@@ -10,7 +10,6 @@ size ``2**-n`` for each ``n``, all glued at the origin.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -36,6 +35,7 @@ _ANGULAR_FILL = 0.8
 _TRIM_FLOOR = 0.02
 
 ZIGZAG_MAX_N = 12
+_LENGTH_TOL = 1e-9  # relative error allowed in a zigzag line's length 2**n
 
 # A refined needle cloud keeps full pitch where the oscillation branches are
 # farther apart than this multiple of the pitch; below that scale it follows
@@ -82,11 +82,6 @@ def needle_h2(points) -> np.ndarray:
     return out if np.asarray(points).ndim == 2 else out[0]
 
 
-def needle_map(points, sharpness: float = DEFAULT_SHARPNESS) -> np.ndarray:
-    """The full embedding: squeeze, then ripple."""
-    return needle_h2(needle_h1(points, sharpness))
-
-
 def needle_offset(points) -> np.ndarray:
     """Upper bound on the distance from each 2-D point to the default needle.
 
@@ -103,19 +98,18 @@ def needle_offset(points) -> np.ndarray:
 # needle model
 
 
-def _needle_zone_points(delta: float, shortcut_scale: float) -> np.ndarray:
+def _needle_zone_points(delta: float) -> np.ndarray:
     """Ordered on-curve samples of ``(x, needle_wave(x))`` on ``[0, 1]``.
 
     Full arc pitch ``delta`` where consecutive zero crossings are farther
-    apart than a quarter of ``shortcut_scale``; below that the samples follow
-    the zero crossings at ``delta/2`` x-steps, which keeps every hop well
-    under ``shortcut_scale`` without spending points on folds that chains
-    with hops below that scale skip across anyway.
+    apart than a quarter of the shortcut scale ``SHORTCUT_PITCHES * delta``;
+    below that the samples follow the zero crossings at ``delta/2`` x-steps,
+    which keeps every hop well under the shortcut scale without spending
+    points on folds that chains with hops below that scale skip across anyway.
     """
-    if delta <= 0 or shortcut_scale <= 0:
-        raise ValueError("delta and shortcut_scale must be positive")
-    sigma = shortcut_scale
-    x_full = min(0.25, math.sqrt(sigma / (4 * math.pi)))
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    x_full = min(0.25, math.sqrt(SHORTCUT_PITCHES * delta / (4 * math.pi)))
     x_dense = min(math.sqrt(delta / (2 * math.pi)), x_full)
     x_tip = min((delta / 4) ** 2, x_dense)
 
@@ -161,13 +155,9 @@ def _needle_zone_points(delta: float, shortcut_scale: float) -> np.ndarray:
     return np.column_stack((xs, needle_wave(xs)))
 
 
-def default_needle_sampler() -> Callable[[float], PointCloud]:
+def sample_needle(delta: float) -> PointCloud:
     """On-curve resampler for the default needle, any pitch."""
-
-    def sampler(d: float) -> PointCloud:
-        return PointCloud(_needle_zone_points(d, SHORTCUT_PITCHES * d), float(d))
-
-    return sampler
+    return PointCloud(_needle_zone_points(delta), float(delta))
 
 
 def build_needle(delta: float = 1e-3) -> ContinuumModel:
@@ -185,10 +175,10 @@ def build_needle(delta: float = 1e-3) -> ContinuumModel:
         "delta": repr(float(delta)),
         "base": "default",
     }
-    pts = _needle_zone_points(delta, SHORTCUT_PITCHES * delta)
+    pts = _needle_zone_points(delta)
     marked = {"h(p)": np.zeros(2), "far": np.array([1.0, float(needle_wave(1.0))])}
     return ContinuumModel(
-        (Polyline(pts, name="needle"),), marked, 2, sampler=default_needle_sampler(), meta=meta
+        (Polyline(pts, name="needle"),), marked, 2, sampler=sample_needle, meta=meta
     )
 
 
@@ -220,19 +210,17 @@ def _zigzag_total(M: int, t: float, lay: dict) -> float:
     return base + 2 * abs(t - lay["r_lo"]) + 2 * t * math.sin(dtheta / 2)
 
 
-def build_zigzag_ln(n: int, length_tol: float = 1e-9) -> Polyline:
+def build_zigzag_ln(n: int) -> Polyline:
     """Broken line of length ``2**n`` inside the wedge at angle ``2**-n``.
 
     Radial teeth alternate between an inner and an outer ring at strictly
     increasing angles; one middle tooth is trimmed (or pushed inward) so the
-    total length hits ``2**n`` within ``length_tol`` relative error. The
+    total length hits ``2**n`` within ``_LENGTH_TOL`` relative error. The
     result starts at the origin and ends at radius ``2**-n`` on the wedge
     bisector ray.
     """
     if not 1 <= n <= ZIGZAG_MAX_N:
         raise ValueError(f"n must be between 1 and {ZIGZAG_MAX_N}")
-    if length_tol <= 0 or length_tol > 1e-3:
-        raise ValueError("length_tol must be in (0, 1e-3]")
     lay = _zigzag_layout(n)
     target = 2.0 ** n
     leg = lay["r_hi"] - lay["r_lo"]
@@ -248,10 +236,10 @@ def build_zigzag_ln(n: int, length_tol: float = 1e-9) -> Polyline:
         raise RuntimeError("tooth count search failed")
 
     t_floor = _TRIM_FLOOR * lay["scale"]
-    t = _solve_trim(M, target, lay, t_floor, length_tol)
+    t = _solve_trim(M, target, lay, t_floor)
     if t is None:
         M += 2
-        t = _solve_trim(M, target, lay, t_floor, length_tol)
+        t = _solve_trim(M, target, lay, t_floor)
         if t is None:
             raise RuntimeError("trim radius search failed")
 
@@ -282,17 +270,17 @@ def build_zigzag_ln(n: int, length_tol: float = 1e-9) -> Polyline:
     line = Polyline(verts, name=f"l{n}")
 
     err = abs(polyline_length(line) - target)
-    if err > length_tol * target:
+    if err > _LENGTH_TOL * target:
         raise RuntimeError(f"length missed target by {err:g}")
     return line
 
 
-def _solve_trim(M: int, target: float, lay: dict, t_floor: float, length_tol: float):
+def _solve_trim(M: int, target: float, lay: dict, t_floor: float):
     def excess(t: float) -> float:
         return _zigzag_total(M, t, lay) - target
 
     hi = excess(lay["r_hi"])
-    if abs(hi) <= 0.25 * length_tol * target:
+    if abs(hi) <= 0.25 * _LENGTH_TOL * target:
         return lay["r_hi"]
     if hi < 0:
         return None
@@ -307,7 +295,7 @@ def _solve_trim(M: int, target: float, lay: dict, t_floor: float, length_tol: fl
     for _ in range(200):
         mid = 0.5 * (a + b)
         e = excess(mid)
-        if abs(e) <= 0.25 * length_tol * target:
+        if abs(e) <= 0.25 * _LENGTH_TOL * target:
             return mid
         if (e > 0) == increasing:
             b = mid
@@ -316,7 +304,7 @@ def _solve_trim(M: int, target: float, lay: dict, t_floor: float, length_tol: fl
     return 0.5 * (a + b)
 
 
-def build_P(n_max: int, length_tol: float = 1e-9) -> ContinuumModel:
+def build_P(n_max: int) -> ContinuumModel:
     """Union of the zigzag lines for n = 1..n_max with marked tips.
 
     :func:`verify_P` checks the result: every segment pair of distinct
@@ -325,11 +313,11 @@ def build_P(n_max: int, length_tol: float = 1e-9) -> ContinuumModel:
     """
     if not 1 <= n_max <= ZIGZAG_MAX_N:
         raise ValueError(f"n_max must be between 1 and {ZIGZAG_MAX_N}")
-    lines = tuple(build_zigzag_ln(n, length_tol) for n in range(1, n_max + 1))
+    lines = tuple(build_zigzag_ln(n) for n in range(1, n_max + 1))
     marked = {"p0": np.zeros(2)}
     for n, line in zip(range(1, n_max + 1), lines):
         marked[f"p{n}"] = np.array(line.vertices[-1])
-    meta = {"kind": "P", "n_max": str(n_max), "length_tol": repr(float(length_tol))}
+    meta = {"kind": "P", "n_max": str(n_max), "length_tol": repr(_LENGTH_TOL)}
     model = ContinuumModel(lines, marked, 2, meta=meta)
     verify_P(model)
     return model

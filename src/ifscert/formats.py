@@ -257,9 +257,8 @@ def load_model(path: str, lines=None) -> ContinuumModel | PointCloud:
         return PointCloud(points, pitch)
     if not pieces:
         raise ValueError(f"{path}: no polyline or points sections")
-    sampler = None
-    if meta.get("kind") == "needle" and meta.get("base") == "default":
-        sampler = continua.default_needle_sampler()
+    needle = meta.get("kind") == "needle" and meta.get("base") == "default"
+    sampler = continua.sample_needle if needle else None
     return ContinuumModel(tuple(pieces), marked, dim, sampler=sampler, meta=meta)
 
 
@@ -476,11 +475,7 @@ def load_profile_csv(path: str, lines=None):
 
 
 def _param_str(value) -> str:
-    if isinstance(value, float):
-        return _fmt(value)
-    if isinstance(value, (tuple, list, np.ndarray)):
-        return " ".join(_param_str(v) for v in value)
-    return str(value)
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def certificate_text(cert: certify.Certificate) -> str:

@@ -120,8 +120,8 @@ class ContinuumModel:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.pieces and not self.marked:
-            raise ValueError("a model needs at least one piece or marked point")
+        if not self.pieces:
+            raise ValueError("a model needs at least one piece")
         for piece in self.pieces:
             if piece.dimension != self.dimension:
                 raise ValueError("piece dimension mismatch")
@@ -135,9 +135,6 @@ class ContinuumModel:
         """Resample the model at pitch ``delta``."""
         if self.sampler is not None:
             return self.sampler(delta)
-        if not self.pieces:
-            pts = np.array(list(self.marked.values()), dtype=float)
-            return PointCloud(pts, delta)
         clouds = [sample_polyline(piece, delta).points for piece in self.pieces]
         return PointCloud(np.vstack(clouds), delta)
 
@@ -163,10 +160,22 @@ def polar_to_cartesian(points) -> np.ndarray:
     return out[0] if single else out
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row. A finite row whose squares overflow (past about
+    1.3e154) is scaled by its largest coordinate first; other norms keep their bits."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+        big = np.flatnonzero(np.isinf(norms) & np.isfinite(rows).all(axis=1))
+        scale = np.abs(rows[big]).max(axis=1, keepdims=True)
+        norms[big] = scale[:, 0] * np.linalg.norm(rows[big] / scale, axis=1)
+    return norms
+
+
 def polyline_length(line: Polyline) -> float:
     """Total chord length of the polyline."""
     a, b = line.segments()
-    return float(np.linalg.norm(b - a, axis=1).sum())
+    with np.errstate(over="ignore"):  # a difference or sum past the float range is inf
+        return float(_row_norms(b - a).sum())
 
 
 def sample_polyline(line: Polyline, delta: float) -> PointCloud:
@@ -177,9 +186,9 @@ def sample_polyline(line: Polyline, delta: float) -> PointCloud:
     if delta <= 0:
         raise ValueError("delta must be positive")
     a, b = line.segments()
-    seg = b - a
-    lens = np.linalg.norm(seg, axis=1)
     with np.errstate(over="ignore"):
+        seg = b - a
+        lens = _row_norms(seg)
         counts = np.maximum(1, np.ceil(lens / delta))
         wanted = counts.sum() + (not line.closed)
     if wanted > _MAX_SAMPLE_POINTS:  # so the int64 cast below cannot wrap

@@ -272,32 +272,6 @@ def certified_lipschitz(spec: MapSpec, box) -> float | None:
     return None
 
 
-def lipschitz_estimate(spec: MapSpec, box, pairs: int = 20000, seed: int = 0):
-    """(empirical lower bound, certified upper bound or None) on ``box``.
-
-    Half the sample are independent uniform pairs, half are short local
-    pairs; localized stretching (steep spots of non-smooth maps) only shows
-    up in the latter.
-    """
-    box = np.asarray(box, dtype=float)
-    rng = np.random.default_rng(seed)
-    n = max(2, pairs // 2)
-    lo, hi = box
-    a = rng.uniform(lo, hi, size=(n, spec.dimension))
-    b = rng.uniform(lo, hi, size=(n, spec.dimension))
-    scale = float(np.max(hi - lo))
-    c = rng.uniform(lo, hi, size=(n, spec.dimension))
-    d = np.clip(c + rng.normal(scale=1e-4 * scale, size=c.shape), lo, hi)
-    x = np.vstack([a, c])
-    y = np.vstack([b, d])
-    num = np.linalg.norm(eval_map(spec, x) - eval_map(spec, y), axis=1)
-    den = np.linalg.norm(x - y, axis=1)
-    good = den > 0
-    ratios = num[good] / den[good]
-    lower = float(ratios.max()) if len(ratios) else 0.0
-    return lower, certified_lipschitz(spec, box)
-
-
 @dataclass(frozen=True)
 class ContractionVerdict:
     """Outcome of empirical contraction classification over a cloud."""
@@ -400,7 +374,9 @@ def hutchinson(ifs: IfsSpec, cloud: PointCloud) -> PointCloud:
     images = [eval_map(m, cloud.points) for m in ifs.maps]
     allp = np.vstack(images)
     cell = cloud.pitch / 2
-    if np.abs(allp).max() / cell < _INT_KEY_LIMIT:
+    with np.errstate(over="ignore"):  # a ratio that overflows is past the limit too
+        int_keys = np.abs(allp).max() / cell < _INT_KEY_LIMIT
+    if int_keys:
         keys = np.round(allp / cell).astype(np.int64)
         # group equal cells, then pick the lexicographically smallest point
         order = np.lexsort(tuple(allp.T[::-1]) + tuple(keys.T[::-1]))
@@ -423,10 +399,6 @@ class AttractorResult:
     steps: tuple[float, ...]
     converged: bool
     tail_bound: float
-    factor: float
-
-    def report_rows(self):
-        return [(k, s) for k, s in enumerate(self.steps, start=1)]
 
 
 def attractor(ifs: IfsSpec, seed_cloud: PointCloud, tol: float = 1e-3,
@@ -455,5 +427,5 @@ def attractor(ifs: IfsSpec, seed_cloud: PointCloud, tol: float = 1e-3,
         steps.append(step)
         current, tree = nxt, nxt_tree
         if step < tol:
-            return AttractorResult(current, tuple(steps), True, step * lam / (1 - lam), lam)
-    return AttractorResult(current, tuple(steps), False, steps[-1] * lam / (1 - lam), lam)
+            return AttractorResult(current, tuple(steps), True, step * lam / (1 - lam))
+    return AttractorResult(current, tuple(steps), False, steps[-1] * lam / (1 - lam))

@@ -130,18 +130,6 @@ class EpsGraph:
     def edge_count(self) -> int:
         return self.adjacency.nnz
 
-    @property
-    def edges(self) -> np.ndarray:
-        """(E, 2) sample indices of each edge, once with i < j, in the order of ``weights``."""
-        a = self.order[np.repeat(np.arange(len(self.order)), np.diff(self.adjacency.indptr))]
-        b = self.order[self.adjacency.indices]
-        return np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """(E,) float64 Euclidean hop lengths."""
-        return self.adjacency.data
-
     def matrix(self) -> csr_matrix:
         """Upper-triangle adjacency matrix: pass ``directed=False`` to ``dijkstra``."""
         return self.adjacency
@@ -324,9 +312,10 @@ def nearest_samples(samples: np.ndarray, points: np.ndarray) -> tuple[np.ndarray
     idx = np.empty(len(points), dtype=np.intp)
     for k, pt in enumerate(points):
         sq = np.zeros(len(samples))
-        for axis in range(samples.shape[1]):
-            gap = samples[:, axis] - pt[axis]
-            sq += gap * gap
+        with np.errstate(over="ignore"):  # a gap or square past the float range is inf
+            for axis in range(samples.shape[1]):
+                gap = samples[:, axis] - pt[axis]
+                sq += gap * gap
         idx[k] = np.argmin(sq)
         dist[k] = math.sqrt(sq[idx[k]])
     return dist, idx
@@ -401,16 +390,6 @@ class ChainMetricProfile:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def summary(self) -> str:
-        bits = [f"verdict={self.verdict}"]
-        if self.slope is not None:
-            bits.append(f"slope={self.slope:.6g}")
-        if self.limit is not None:
-            bits.append(f"limit={self.limit:.17g}")
-        if self.note:
-            bits.append(f"note={self.note}")
-        return " ".join(bits)
 
 
 def chain_profile(

@@ -36,16 +36,20 @@ def _escape(text: str) -> str:
 
 
 class _Frame:
-    """Data-to-canvas transform: fit the bounding box, keep aspect, flip y."""
+    """Data-to-canvas transform: fit the padded bounding box (width 0: the centre), keep aspect, flip y."""
 
     def __init__(self, points: np.ndarray):
         lo = points.min(axis=0)
         hi = points.max(axis=0)
-        span = np.maximum(hi - lo, 1e-12)
-        pad = _PLOT_MARGIN * float(span.max())
-        lo, hi = lo - pad, hi + pad
-        self.center = (lo + hi) / 2
-        self.scale = VIEW / float((hi - lo).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = np.maximum(hi - lo, 1e-12)
+            pad = _PLOT_MARGIN * float(span.max())
+            lo, hi = lo - pad, hi + pad
+            self.center = (lo + hi) / 2
+            width = float((hi - lo).max())
+        if not np.isfinite([*self.center, width]).all():
+            raise ValueError("cannot draw these coordinates: the padded bounding box overflows")
+        self.scale = VIEW / width if width > 0 else 0.0
 
     def map(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -168,10 +172,7 @@ def profile_svg(epsilons, values, title: str = "") -> str:
         )
     chart = [(sx(xv), sy(yv)) for xv, yv in zip(lx[finite], ly)]
     if len(chart) > 1:
-        d = " ".join(
-            (f"M{_c(px)},{_c(py)}" if i == 0 else f"L{_c(px)},{_c(py)}")
-            for i, (px, py) in enumerate(chart)
-        )
+        d = _path(np.array(chart))
         parts.append(f'<path d="{d}" stroke="{_PALETTE[0]}" stroke-width="2.5" fill="none"/>')
     for px, py in chart:
         parts.append(f'<circle cx="{_c(px)}" cy="{_c(py)}" r="5" fill="{_PALETTE[1]}"/>')

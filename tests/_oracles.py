@@ -137,6 +137,19 @@ def spectral_norm(A: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)[0])
 
 
+def needle_map(points, sharpness: float = 100.0) -> np.ndarray:
+    """The needle embedding, squeeze then ripple, written out in one formula.
+
+    ``(x1, x2) -> (x1, x1 * x2 / s + sqrt(x1) * sin(1 / x1))``, the wave taken
+    as 0 at ``x1 = 0``: the reference for a composed squeeze-then-ripple map.
+    """
+    p = np.asarray(points, dtype=float)
+    x1, x2 = p[:, 0], p[:, 1]
+    safe = np.where(x1 > 0, x1, 1.0)
+    wave = np.where(x1 > 0, np.sqrt(x1) * np.sin(1.0 / safe), 0.0)
+    return np.column_stack((x1, x1 / sharpness * x2 + wave))
+
+
 def mp_needle_point(x1: float, x2: float, sharpness: float = 100.0, dps: int = 50):
     """High precision image of a point under squeeze-then-ripple (mpmath)."""
     import mpmath as mp
@@ -315,7 +328,6 @@ def load_model_per_line(path: str):
         return PointCloud(np.vstack(point_blocks), pitch)
     if not pieces:
         raise ValueError(f"{path}: no polyline or points sections")
-    sampler = None
-    if meta.get("kind") == "needle" and meta.get("base") == "default":
-        sampler = continua.default_needle_sampler()
+    needle = meta.get("kind") == "needle" and meta.get("base") == "default"
+    sampler = continua.sample_needle if needle else None
     return ContinuumModel(tuple(pieces), marked, dim, sampler=sampler, meta=meta)

@@ -506,3 +506,50 @@ def test_oversized_point_count_exits_2(tmp_path, capfd):
     assert rc == 2
     assert stdout == ""
     assert err == f"error: {huge}: truncated vertex block at line 4\n"
+
+
+def test_plot_draws_a_one_point_cloud_at_the_centre(tmp_path, capfd):
+    # the 5e-14 pad is lost to rounding at 513, so the padded box has width 0
+    cloud = tmp_path / "one.model"
+    cloud.write_text("dim 2\nmeta pitch 1\npoints cloud 1\n513 513\n")
+    out = tmp_path / "one.svg"
+    assert run("plot", str(cloud), "--out", str(out), "--quiet") == 0
+    assert capfd.readouterr() == ("", "")
+    assert '<path d="M500.00,500.00 h0"' in out.read_text()
+
+
+def test_plot_refuses_a_box_past_the_float_range(tmp_path, capfd):
+    huge = tmp_path / "huge.model"
+    huge.write_text("dim 2\npolyline a 2\n-1e308 -1e308\n1e308 1e308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run("plot", str(huge), "--out", str(tmp_path / "huge.svg"))
+    out, err = capfd.readouterr()
+    assert (rc, out, caught) == (2, "", [])
+    assert err == "error: cannot draw these coordinates: the padded bounding box overflows\n"
+    assert not (tmp_path / "huge.svg").exists()
+
+
+def test_overflowing_coordinates_print_no_numpy_warning(tmp_path, halves_ifs, capfd):
+    line, big = str(tmp_path / "l1.model"), tmp_path / "big.model"
+    assert run("build", "zigzag", "--n", "1", "--out", line, "--quiet") == 0
+    # about 142 samples at pitch 1e298, though the segment's squared length overflows
+    big.write_text("dim 2\npolyline a 2\n0 0\n1e300 1e300\nmarked p0 0 0\nmarked p1 1e300 1e300\n")
+    capfd.readouterr()
+    runs = [
+        (["chain", line, "p0", "1e200,0", "--eps0", "1e-3", "--kmax", "0"], {2}),
+        (["attractor", halves_ifs, "--box=0,0,1e308,1e308", "--max-iter", "2",
+          "--out", str(tmp_path / "att.model"), "--quiet"], {1}),
+        (["chain", str(big), "p0", "p1", "--eps0", "1e299", "--kmax", "0"], {0, 1}),
+    ]
+    for argv, codes in runs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(*argv)
+        _, err = capfd.readouterr()
+        assert rc in codes and caught == [], (argv, rc, caught)
+        # one error line for a refusal, nothing otherwise
+        if rc == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert err == "", (argv, err)

@@ -9,7 +9,6 @@ from ifscert.continua import (
     build_zigzag_ln,
     needle_h1,
     needle_h2,
-    needle_map,
     needle_offset,
     needle_wave,
     needle_wave_slope_bound,
@@ -71,7 +70,7 @@ def test_needle_map_matches_high_precision_reference():
     rng = np.random.default_rng(11)
     x1 = rng.uniform(0.0, 1.0, size=200)
     x2 = rng.uniform(-1.0, 1.0, size=200)
-    got = needle_map(np.column_stack([x1, x2]), 100.0)
+    got = needle_h2(needle_h1(np.column_stack([x1, x2]), 100.0))
     for k in range(200):
         rx, ry = mp_needle_point(x1[k], x2[k], 100.0)
         assert got[k, 0] == pytest.approx(rx, abs=1e-15)

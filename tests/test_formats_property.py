@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import load_model_per_line, model_svg_per_point, model_text_per_point
@@ -160,9 +160,8 @@ def polylines(draw, dim=2):
 @st.composite
 def models(draw, dim=None):
     dim = dim or draw(st.integers(1, 3))
-    pieces = tuple(draw(st.lists(polylines(dim), min_size=0, max_size=3)))
-    labels = draw(st.lists(st.sampled_from(["p0", "p1", "far", "h(p)"]), unique=True,
-                           min_size=0 if pieces else 1, max_size=3))
+    pieces = tuple(draw(st.lists(polylines(dim), min_size=1, max_size=3)))
+    labels = draw(st.lists(st.sampled_from(["p0", "p1", "far", "h(p)"]), unique=True, max_size=3))
     marked = {label: draw(st.tuples(*[FLOATS] * dim)) for label in labels}
     meta = {"kind": "demo"} if draw(st.booleans()) else {}
     return ContinuumModel(pieces, marked, dim, meta=meta)
@@ -182,11 +181,20 @@ def test_model_text_matches_the_per_point_writer(model):
     assert model_text(model) == model_text_per_point(model)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def _svg_or_error(draw, model):
+    try:
+        return draw(model)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
 @PROPERTY
-@given(model=st.one_of(models(dim=2).filter(lambda m: m.pieces), clouds(dim=2)))
+@given(model=st.one_of(models(dim=2), clouds(dim=2)))
+# one point whose 5e-14 pad is lost to rounding: a padded box of width 0
+@example(model=PointCloud(np.array([[513.0, 513.0]]), 1.0))
 def test_model_svg_matches_the_per_point_writer(model):
-    assert model_svg(model) == model_svg_per_point(model)
+    # both writers refuse a frame past the float range with the same error
+    assert _svg_or_error(model_svg, model) == _svg_or_error(model_svg_per_point, model)
 
 
 @PROPERTY

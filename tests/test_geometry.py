@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,23 @@ def test_sample_polyline_pitch_and_order():
     assert np.all(np.diff(seg1[:, 0]) > 0)
     seg2 = pts[pts[:, 0] == 1.0]
     assert np.all(np.diff(seg2[:, 1]) > 0)
+
+
+def test_segments_whose_squares_overflow_keep_a_finite_length():
+    # 1e300 squared overflows, so a plain norm reads inf and asks for inf samples
+    line = Polyline(np.array([[0.0, 0.0], [1e300, 1e300]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        length = polyline_length(line)
+        cloud = sample_polyline(line, 1e298)
+    assert length == pytest.approx(math.sqrt(2) * 1e300, rel=1e-15)
+    assert len(cloud) == math.ceil(length / 1e298) + 1
+    # a norm that does not overflow keeps its bits
+    mixed = Polyline(np.array([[0.0, 0.0], [0.1, 0.7], [3e153, -4e153]]))
+    a, b = mixed.segments()
+    lens = np.linalg.norm(b - a, axis=1)
+    assert np.isfinite(lens).all()
+    assert polyline_length(mixed) == float(lens.sum())
 
 
 def test_sample_polyline_keeps_vertices():
@@ -254,6 +274,12 @@ def test_continuum_model_resolve_and_labels():
         model.resolve("missing")
     with pytest.raises(ValueError):
         ContinuumModel((line,), {"bad label": np.zeros(2)}, 2)
+
+
+def test_continuum_model_needs_a_piece():
+    # the model file format has no record for a model of marked points only
+    with pytest.raises(ValueError, match="at least one piece"):
+        ContinuumModel((), {"p0": np.zeros(2)}, 2)
 
 
 def test_continuum_model_refine_covers_all_pieces():

@@ -17,12 +17,11 @@ from ifscert.ifs import (
     eval_map,
     hutchinson,
     interval_image,
-    lipschitz_estimate,
     ripple_map,
     squeeze_map,
 )
 
-from _oracles import chaos_game, spectral_norm
+from _oracles import chaos_game, needle_map, spectral_norm
 
 
 def _halves_1d() -> IfsSpec:
@@ -117,8 +116,6 @@ def test_closed_form_checks_arity():
 
 
 def test_squeeze_and_ripple_compose_to_the_needle_map():
-    from ifscert.continua import needle_map
-
     rng = np.random.default_rng(2)
     pts = np.column_stack([rng.uniform(0, 1, 50), rng.uniform(-1, 1, 50)])
     f = composed_map(squeeze_map(100.0), ripple_map())
@@ -173,22 +170,13 @@ def test_certified_lipschitz_squeeze_formula():
 def test_certified_lipschitz_dominates_samples():
     rng = np.random.default_rng(9)
     box = np.array([[0.05, -1.0], [1.0, 1.0]])
+    # a uniform cloud of the box: random pairs and near neighbours
+    cloud = PointCloud(rng.uniform(box[0], box[1], size=(20000, 2)), 0.01)
     for f in (squeeze_map(100.0, region=box), ripple_map(region=box),
               composed_map(squeeze_map(100.0), ripple_map(), region=box)):
         bound = certified_lipschitz(f, box)
         assert bound is not None
-        est, _ = lipschitz_estimate(f, box, pairs=20000, seed=1)
-        assert est <= bound * (1 + 1e-9)
-
-
-def test_lipschitz_estimate_close_for_affine():
-    A = [[0.6, 0.2], [0.0, 0.5]]
-    f = affine_map(A, [0.0, 0.0])
-    box = np.array([[-1.0, -1.0], [1.0, 1.0]])
-    est, pair = lipschitz_estimate(f, box, pairs=40000, seed=3)
-    assert est <= spectral_norm(A) * (1 + 1e-9)
-    assert est >= 0.9 * spectral_norm(A)
-    assert pair is not None
+        assert classify_contraction(f, cloud, pairs=20000, seed=1).max_ratio <= bound * (1 + 1e-9)
 
 
 # --- contraction classification -------------------------------------------------

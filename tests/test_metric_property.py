@@ -42,7 +42,7 @@ from ifscert.geometry import ContinuumModel, PointCloud, Polyline
 from ifscert.metric import chain_profiles, eps_graph, hausdorff
 
 from _oracles import chain_profiles_reference, hausdorff_reference
-from test_metric import _graph_oracle
+from test_metric import _graph_oracle, graph_edges
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.sampled_from([1, 2, 3])
@@ -53,7 +53,7 @@ def _graph(points, epsilon):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # epsilon may be below three pitches
         graph = eps_graph(PointCloud(points, 1e-3), epsilon)
-    got = dict(zip(map(tuple, graph.edges.tolist()), graph.weights.tolist()))
+    got = graph_edges(graph)
     assert len(got) == graph.edge_count
     return got
 
