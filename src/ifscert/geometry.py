@@ -160,37 +160,29 @@ def polar_to_cartesian(points) -> np.ndarray:
     return out[0] if single else out
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row. A finite row whose squares overflow (past about
-    1.3e154) is scaled by its largest coordinate first; other norms keep their bits."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rows, axis=1)
-        big = np.flatnonzero(np.isinf(norms) & np.isfinite(rows).all(axis=1))
-        scale = np.abs(rows[big]).max(axis=1, keepdims=True)
-        norms[big] = scale[:, 0] * np.linalg.norm(rows[big] / scale, axis=1)
-    return norms
-
-
 def polyline_length(line: Polyline) -> float:
     """Total chord length of the polyline."""
     a, b = line.segments()
-    with np.errstate(over="ignore"):  # a difference or sum past the float range is inf
-        return float(_row_norms(b - a).sum())
+    return float(np.linalg.norm(b - a, axis=1).sum())
 
 
 def sample_polyline(line: Polyline, delta: float) -> PointCloud:
     """Sample the polyline so consecutive samples are at most ``delta`` apart.
 
     All vertices are included exactly; points are returned in path order.
+    A segment whose squared length overflows is refused: the distance
+    kernels square their gaps.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     a, b = line.segments()
     with np.errstate(over="ignore"):
         seg = b - a
-        lens = _row_norms(seg)
+        lens = np.linalg.norm(seg, axis=1)
         counts = np.maximum(1, np.ceil(lens / delta))
         wanted = counts.sum() + (not line.closed)
+    if not np.isfinite(lens).all():
+        raise ValueError("polyline segment too long: its squared length overflows")
     if wanted > _MAX_SAMPLE_POINTS:  # so the int64 cast below cannot wrap
         raise ValueError(f"polyline sampling too fine: pitch {delta:.3g} needs {wanted:.3g} points, "
                          f"above {_MAX_SAMPLE_POINTS}")

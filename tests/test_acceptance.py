@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from _cli_runs import CRITERION_10_RUNS, IFS_FILES
 from _oracles import chaos_game, wave_arc_length
 
 from ifscert import cli, formats
@@ -315,14 +316,10 @@ def test_criterion_09_certificates():
     _report(9, checks)
 
 
-def test_criterion_10_cli_runs_are_byte_identical(tmp_path, capsys):
-    needle_model = str(tmp_path / "needle.model")
-    l1_model = str(tmp_path / "l1.model")
-    p_model = str(tmp_path / "P.model")
-    halves = tmp_path / "halves.ifs"
-    halves.write_text("dim 2\nmode strict\naffine 0.5 0 0 0.5 0 0\naffine 0.5 0 0 0.5 0.5 0\n")
-    const = tmp_path / "const.ifs"
-    const.write_text("dim 2\naffine 0 0 0 0 0 0\n")
+def test_criterion_10_cli_runs_are_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in IFS_FILES.items():
+        (tmp_path / name).write_text(text)
 
     def outputs_of(argv, paths):
         rc = cli.main(argv)
@@ -330,27 +327,9 @@ def test_criterion_10_cli_runs_are_byte_identical(tmp_path, capsys):
         blobs = [open(p, "rb").read() for p in paths]
         return rc, stdout, blobs
 
-    runs = [
-        (["build", "needle", "--out", needle_model], [needle_model]),
-        (["build", "zigzag", "--n", "1", "--out", l1_model], [l1_model]),
-        (["build", "P", "--n-max", "2", "--out", p_model], [p_model]),
-        (["chain", l1_model, "p0", "p1", "--eps0", "1e-3", "--kmax", "2",
-          "--out", str(tmp_path / "profile.csv")], [str(tmp_path / "profile.csv")]),
-        (["attractor", str(halves), "--tol", "1e-3", "--out", str(tmp_path / "att.model"),
-          "--report", str(tmp_path / "att.csv")],
-         [str(tmp_path / "att.model"), str(tmp_path / "att.csv")]),
-        (["certify", "fixed-set", "--ifs", str(halves), "--model", needle_model,
-          "--out", str(tmp_path / "fixed.cert")], [str(tmp_path / "fixed.cert")]),
-        (["certify", "p-coverage", "--ifs", str(const), "--model", p_model,
-          "--out", str(tmp_path / "cover.cert")], [str(tmp_path / "cover.cert")]),
-        (["certify", "needle-dichotomy", "--ifs", str(const), "--model", needle_model,
-          "--classify-pairs", "0", "--out", str(tmp_path / "dich.cert")],
-         [str(tmp_path / "dich.cert")]),
-        (["plot", needle_model, "--out", str(tmp_path / "needle.svg")],
-         [str(tmp_path / "needle.svg")]),
-        (["plot", str(tmp_path / "profile.csv"), "--title", "profile",
-          "--out", str(tmp_path / "profile.svg")], [str(tmp_path / "profile.svg")]),
-    ]
+    # each run's output files are the values of its --out and --report flags
+    runs = [(argv, [argv[i + 1] for i, flag in enumerate(argv[:-1]) if flag in ("--out", "--report")])
+            for argv in CRITERION_10_RUNS]
     mismatches = []
     for argv, paths in runs:
         first = outputs_of(argv, paths)

@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -62,21 +61,14 @@ def test_sample_polyline_pitch_and_order():
     assert np.all(np.diff(seg2[:, 1]) > 0)
 
 
-def test_segments_whose_squares_overflow_keep_a_finite_length():
-    # 1e300 squared overflows, so a plain norm reads inf and asks for inf samples
+def test_segments_whose_squares_overflow_are_refused():
+    # the distance kernels square their gaps, so a segment whose square overflows
+    # is refused with one error, not sampled into gaps that read inf
     line = Polyline(np.array([[0.0, 0.0], [1e300, 1e300]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        length = polyline_length(line)
-        cloud = sample_polyline(line, 1e298)
-    assert length == pytest.approx(math.sqrt(2) * 1e300, rel=1e-15)
-    assert len(cloud) == math.ceil(length / 1e298) + 1
-    # a norm that does not overflow keeps its bits
-    mixed = Polyline(np.array([[0.0, 0.0], [0.1, 0.7], [3e153, -4e153]]))
-    a, b = mixed.segments()
-    lens = np.linalg.norm(b - a, axis=1)
-    assert np.isfinite(lens).all()
-    assert polyline_length(mixed) == float(lens.sum())
+        with pytest.raises(ValueError, match="^polyline segment too long: its squared length overflows$"):
+            sample_polyline(line, 1e298)
 
 
 def test_sample_polyline_keeps_vertices():

@@ -170,13 +170,18 @@ def test_certified_lipschitz_squeeze_formula():
 def test_certified_lipschitz_dominates_samples():
     rng = np.random.default_rng(9)
     box = np.array([[0.05, -1.0], [1.0, 1.0]])
-    # a uniform cloud of the box: random pairs and near neighbours
-    cloud = PointCloud(rng.uniform(box[0], box[1], size=(20000, 2)), 0.01)
-    for f in (squeeze_map(100.0, region=box), ripple_map(region=box),
-              composed_map(squeeze_map(100.0), ripple_map(), region=box)):
+    # a uniform cloud of the box, whose near neighbours are about 0.01 apart, and
+    # a 1e-4 grid of the steep strip by x = 1/(6 pi), where the ripple's slope
+    # peaks near 81.8: near pairs there probe the localized stretching
+    gx, gy = np.meshgrid(0.05 + 1e-4 * np.arange(100), 1e-4 * np.arange(-20, 21))
+    strip = np.column_stack([gx.ravel(), gy.ravel()])
+    cloud = PointCloud(np.vstack([rng.uniform(box[0], box[1], size=(20000, 2)), strip]), 0.01)
+    for f, reached in ((squeeze_map(100.0, region=box), 1.0), (ripple_map(region=box), 81.0),
+                       (composed_map(squeeze_map(100.0), ripple_map(), region=box), 81.0)):
         bound = certified_lipschitz(f, box)
         assert bound is not None
-        assert classify_contraction(f, cloud, pairs=20000, seed=1).max_ratio <= bound * (1 + 1e-9)
+        ratio = classify_contraction(f, cloud, pairs=20000, seed=1).max_ratio
+        assert reached < ratio <= bound * (1 + 1e-9)
 
 
 # --- contraction classification -------------------------------------------------

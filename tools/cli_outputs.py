@@ -2,9 +2,11 @@
 """Write the output of every documented CLI run to a directory.
 
 The runs are the README's commands, the ten runs of acceptance criterion 10
-and the certificates of perfbench's ``certify_suite`` (the screened tent map
-at seeds 0, 1 and 2). Each is ``python -m ifscert.cli`` in a fresh process.
-This script writes the function-system files the runs read.
+(read from ``tests/_cli_runs.py``) and the certificates of perfbench's
+``certify_suite`` (read from the ``CERTIFICATES`` table of
+``perfbench/workloads.py``, the seeded ones at seeds 0, 1 and 2). Each is
+``python -m ifscert.cli`` in a fresh process. This script writes the
+function-system files the runs read.
 
 Each group of runs works in its own subdirectory of OUTDIR, on relative
 paths, so no output names the directory. The group's ``log.txt`` holds
@@ -28,67 +30,51 @@ import shlex
 import subprocess
 import sys
 
-HALVES = "dim 2\nmode strict\naffine 0.5 0 0 0.5 0 0\naffine 0.5 0 0 0.5 0.5 0\n"
-CONST = "dim 2\naffine 0 0 0 0 0 0\n"
-TRIANGLE = HALVES + "affine 0.5 0 0 0.5 0.25 0.5\n"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXED_TIP = "dim 2\nclosed_form needle_param_scale 0.5 lip=0.9\n"
-MOVED_TIP = "dim 2\nclosed_form needle_param_affine 0.35 -0.7 lip=0.9\n"
-TENT = "dim 2\nmode weak\nclosed_form needle_param_tent 0.8 0.3 attested\n"
 
-# group -> (function-system files, runs); a run is (argv, file piped to stdin or None)
-GROUPS = {
-    "readme": (
-        # the README names reparam.ifs without its text: the fixed-tip reparametrisation
-        {"halves.ifs": HALVES, "const.ifs": CONST, "reparam.ifs": FIXED_TIP},
-        [
-            ("build needle --delta 1e-3 --out needle.model", None),
-            ("build P --n-max 5 --out P.model", None),
-            ("build zigzag --n 1 --out l1.model", None),
-            ("chain needle.model far h(p) --eps0 0.1 --kmax 8 --out profile.csv", None),
-            ("chain l1.model p0 p1 --eps0 1e-3 --kmax 3", None),
-            ("attractor halves.ifs --tol 1e-3 --out attractor.model --report steps.csv", None),
-            ("certify fixed-set --ifs halves.ifs --model needle.model", None),
-            ("certify p-coverage --ifs const.ifs --model P.model", None),
-            ("certify needle-dichotomy --ifs reparam.ifs --model needle.model --kmax 6", None),
-            ("plot needle.model --out needle.svg", None),
-            ("plot profile.csv --title 'far to attachment' --out profile.svg", None),
-            ("plot /dev/stdin --out l1.svg", "l1.model"),
-        ],
-    ),
-    "criterion10": (
-        {"halves.ifs": HALVES, "const.ifs": CONST},
-        [
-            ("build needle --out needle.model", None),
-            ("build zigzag --n 1 --out l1.model", None),
-            ("build P --n-max 2 --out P.model", None),
-            ("chain l1.model p0 p1 --eps0 1e-3 --kmax 2 --out profile.csv", None),
-            ("attractor halves.ifs --tol 1e-3 --out att.model --report att.csv", None),
-            ("certify fixed-set --ifs halves.ifs --model needle.model --out fixed.cert", None),
-            ("certify p-coverage --ifs const.ifs --model P.model --out cover.cert", None),
-            ("certify needle-dichotomy --ifs const.ifs --model needle.model --classify-pairs 0 "
-             "--out dich.cert", None),
-            ("plot needle.model --out needle.svg", None),
-            ("plot profile.csv --title profile --out profile.svg", None),
-        ],
-    ),
-    "certify_suite": (
-        {"triangle.ifs": TRIANGLE, "const.ifs": CONST, "fixed-tip.ifs": FIXED_TIP,
-         "moved-tip.ifs": MOVED_TIP, "tent.ifs": TENT},
-        [
-            ("build needle --out needle.model", None),
-            ("build P --n-max 4 --out P.model", None),
-            ("certify fixed-set --ifs triangle.ifs --model needle.model --delta 1e-2", None),
-            ("certify fixed-set --ifs triangle.ifs --model needle.model --out fixed-set.cert", None),
-            ("certify p-coverage --ifs const.ifs --model P.model --out p-coverage.cert", None),
-            ("certify needle-dichotomy --ifs fixed-tip.ifs --model needle.model --classify-pairs 0 "
-             "--out fixed-tip.cert", None),
-            ("certify needle-dichotomy --ifs moved-tip.ifs --model needle.model --classify-pairs 0 "
-             "--out moved-tip.cert", None),
-            *[(f"certify needle-dichotomy --ifs tent.ifs --model needle.model --seed {seed} "
-               f"--out tent-seed{seed}.cert", None) for seed in range(3)],
-        ],
-    ),
-}
+# the README's runs: halves.ifs and const.ifs as in criterion 10, and reparam.ifs,
+# which the README names without its text, the fixed-tip reparametrisation
+README_RUNS = [(shlex.split(command), stdin) for command, stdin in [
+    ("build needle --delta 1e-3 --out needle.model", None),
+    ("build P --n-max 5 --out P.model", None),
+    ("build zigzag --n 1 --out l1.model", None),
+    ("chain needle.model far h(p) --eps0 0.1 --kmax 8 --out profile.csv", None),
+    ("chain l1.model p0 p1 --eps0 1e-3 --kmax 3", None),
+    ("attractor halves.ifs --tol 1e-3 --out attractor.model --report steps.csv", None),
+    ("certify fixed-set --ifs halves.ifs --model needle.model", None),
+    ("certify p-coverage --ifs const.ifs --model P.model", None),
+    ("certify needle-dichotomy --ifs reparam.ifs --model needle.model --kmax 6", None),
+    ("plot needle.model --out needle.svg", None),
+    ("plot profile.csv --title 'far to attachment' --out profile.svg", None),
+    ("plot /dev/stdin --out l1.svg", "l1.model"),
+]]
+
+
+def groups():
+    """group -> (function-system files, runs); a run is (argv, file piped to stdin or None)."""
+    sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
+    from _cli_runs import CRITERION_10_RUNS, IFS_FILES
+    from workloads import CERTIFICATES
+
+    # certify_suite: CertifySuite.setup's three runs, then each certificate of
+    # CERTIFICATES, the seeded ones at seeds 0, 1 and 2
+    suite_runs = [(shlex.split(command), None) for command in [
+        "build needle --out needle.model",
+        "build P --n-max 4 --out P.model",
+        "certify fixed-set --ifs fixed-set.ifs --model needle.model --delta 1e-2",
+    ]]
+    for label, _, kind, model, extra, *_ in CERTIFICATES:
+        seeds = range(3) if any("{seed}" in x for x in extra) else [None]
+        for seed in seeds:
+            out = label if seed is None else f"{label}-seed{seed}"
+            suite_runs.append((["certify", kind, "--ifs", f"{label}.ifs", "--model", model,
+                                *[x.format(seed=seed) for x in extra], "--out", f"{out}.cert"], None))
+    return {
+        "readme": ({**IFS_FILES, "reparam.ifs": FIXED_TIP}, README_RUNS),
+        "criterion10": (IFS_FILES, [(argv, None) for argv in CRITERION_10_RUNS]),
+        "certify_suite": ({f"{label}.ifs": text for label, text, *_ in CERTIFICATES}, suite_runs),
+    }
 
 
 def run_group(workdir: str, files: dict[str, str], runs, env: dict[str, str]) -> None:
@@ -97,8 +83,7 @@ def run_group(workdir: str, files: dict[str, str], runs, env: dict[str, str]) ->
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
     with open(os.path.join(workdir, "log.txt"), "wb") as log:
-        for command, stdin_name in runs:
-            argv = shlex.split(command)
+        for argv, stdin_name in runs:
             stdin = open(os.path.join(workdir, stdin_name), "rb") if stdin_name else subprocess.DEVNULL
             try:
                 done = subprocess.run([sys.executable, "-m", "ifscert.cli", *argv], cwd=workdir,
@@ -109,7 +94,8 @@ def run_group(workdir: str, files: dict[str, str], runs, env: dict[str, str]) ->
             piped = f" < {stdin_name}" if stdin_name else ""
             log.write(f"$ ifscert {shlex.join(argv)}{piped}\nexit {done.returncode}\n".encode())
             log.write(b"--- stdout\n" + done.stdout + b"--- stderr\n" + done.stderr)
-            print(f"{os.path.basename(workdir)}: exit {done.returncode}: ifscert {command}", flush=True)
+            print(f"{os.path.basename(workdir)}: exit {done.returncode}: ifscert {shlex.join(argv)}",
+                  flush=True)
 
 
 def main(argv: list[str]) -> int:
@@ -128,7 +114,7 @@ def main(argv: list[str]) -> int:
     src = os.path.dirname(os.path.dirname(os.path.abspath(spec.origin)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     print(f"ifscert from {src}", flush=True)
-    for group, (files, runs) in GROUPS.items():
+    for group, (files, runs) in groups().items():
         run_group(os.path.join(outdir, group), files, runs, env)
     return 0
 
