@@ -258,12 +258,11 @@ def build_zigzag_ln(n: int) -> Polyline:
     # travel direction (odd legs go outward), then the bisector tip
     inner = np.column_stack([np.full(M, lay["r_lo"]), thetas])
     outer = np.column_stack([peaks, thetas])
+    even = (np.arange(M) % 2 == 0)[:, None]
     polar = np.empty((2 * M + 2, 2))
     polar[0] = (0.0, thetas[0])
-    for j in range(M):
-        a, b = (inner[j], outer[j]) if j % 2 == 0 else (outer[j], inner[j])
-        polar[1 + 2 * j] = a
-        polar[2 + 2 * j] = b
+    polar[1:-1:2] = np.where(even, inner, outer)
+    polar[2:-1:2] = np.where(even, outer, inner)
     polar[-1] = (lay["scale"], lay["theta_c"])
     verts = polar_to_cartesian(polar)
     verts[0] = 0.0

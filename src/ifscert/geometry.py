@@ -303,14 +303,14 @@ def _axis_key(P, Q, axis, reach):
 
 def _angle_key(P, Q, centre, reach):
     """Padded polar-angle intervals about ``centre`` and the wild mask."""
-    a = P - centre
-    b = Q - centre
-    ta = np.arctan2(a[:, 1], a[:, 0])
-    tb = np.arctan2(b[:, 1], b[:, 0])
-    v = b - a
+    ax, ay = P[:, 0] - centre[0], P[:, 1] - centre[1]
+    bx, by = Q[:, 0] - centre[0], Q[:, 1] - centre[1]
+    ta = np.arctan2(ay, ax)
+    tb = np.arctan2(by, bx)
+    vx, vy = bx - ax, by - ay
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip(-np.einsum("ij,ij->i", a, v) / np.einsum("ij,ij->i", v, v), 0.0, 1.0)
-        d_lo = np.hypot(*(a + t[:, None] * v).T) - _SLACK * (np.hypot(*a.T) + np.hypot(*b.T))
+        t = np.clip(-(ax * vx + ay * vy) / (vx * vx + vy * vy), 0.0, 1.0)
+        d_lo = np.hypot(ax + t * vx, ay + t * vy) - _SLACK * (np.hypot(ax, ay) + np.hypot(bx, by))
         wild = ~(d_lo > 2 * reach)  # also a segment that the shift collapsed to a point
         pad = np.arcsin(np.where(wild, 1.0, reach / d_lo)) * (1 + _SLACK) + _SLACK
     lo = np.minimum(ta, tb) - pad
@@ -332,6 +332,18 @@ def _count_candidates(lo, hi, wild):
     counts = ends - np.arange(1, len(order) + 1)
     w = n - len(order)
     return int(counts.sum()) + w * (n - w) + w * (w - 1) // 2, order, counts, wild
+
+
+def _candidate_count(lo, hi, wild):
+    """The count of :func:`_count_candidates`, from two sorts and no argsort.
+
+    The overlaps sum to ``sum(searchsorted(sort(lo), hi)) - m (m + 1) / 2``
+    over the m tame segments, whatever the order of the upper ends.
+    """
+    tame = ~wild
+    n, m = len(lo), int(np.count_nonzero(tame))
+    ends = np.searchsorted(np.sort(lo[tame]), np.sort(hi[tame]), side="right")
+    return int(ends.sum()) - m * (m + 1) // 2 + (n - m) * m + (n - m) * (n - m - 1) // 2
 
 
 def _other_labels(own, counts):
@@ -365,9 +377,10 @@ def _candidate_pairs(P, Q, tol, labels=None):
     label is built. Broad phase: each segment gets an interval under a key,
     and only pairs whose intervals overlap are candidates. The keys are the
     coordinates and, in 2-D, the polar angle about the origin and about the
-    bounding-box centre; each key's candidates are counted with
-    ``searchsorted`` before any pair is built, and the key with the fewest
-    is used. The chunks hold about ``_PAIR_CHUNK`` pairs.
+    bounding-box centre; each key's candidates are counted with two sorts
+    and ``searchsorted`` before any pair is built, and only the first key
+    with the fewest is argsorted and used. The chunks hold about
+    ``_PAIR_CHUNK`` pairs.
 
     No pair within ``tol`` is left out. Let d be the dimension, M the
     largest coordinate magnitude, u the unit roundoff and
@@ -424,7 +437,8 @@ def _candidate_pairs(P, Q, tol, labels=None):
         if np.array_equal(centres[0], centres[1]):
             centres.pop()
         keys += [_angle_key(P, Q, c, reach) for c in centres]
-    _, order, counts, wild = min((_count_candidates(*key) for key in keys), key=lambda p: p[0])
+    totals = [_candidate_count(*key) for key in keys]
+    _, order, counts, wild = _count_candidates(*keys[totals.index(min(totals))])
     first, pool = np.arange(1, len(order) + 1), np.arange(len(order))
     if labels is not None:
         pool, first, counts = _other_labels(labels[order], counts)

@@ -370,21 +370,24 @@ def hutchinson(ifs: IfsSpec, cloud: PointCloud) -> PointCloud:
 
     The output pitch is ``pitch * max(lip_bound)`` (one where a bound is
     missing): images of a pitch net stay a pitch net up to the map stretch.
+    An image too far out for int64 grid keys at this pitch is refused:
+    without the dedupe each step would grow the cloud by the map count.
     """
     images = [eval_map(m, cloud.points) for m in ifs.maps]
     allp = np.vstack(images)
     cell = cloud.pitch / 2
+    extent = float(np.abs(allp).max())
     with np.errstate(over="ignore"):  # a ratio that overflows is past the limit too
-        int_keys = np.abs(allp).max() / cell < _INT_KEY_LIMIT
-    if int_keys:
-        keys = np.round(allp / cell).astype(np.int64)
-        # group equal cells, then pick the lexicographically smallest point
-        order = np.lexsort(tuple(allp.T[::-1]) + tuple(keys.T[::-1]))
-        keys = keys[order]
-        allp = allp[order]
-        first = np.ones(len(allp), dtype=bool)
-        first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-        allp = allp[first]
+        if not extent / cell < _INT_KEY_LIMIT:
+            raise ValueError(f"set-map image reaches {extent:.3g}, too far out for grid cells of {cell:.3g}")
+    keys = np.round(allp / cell).astype(np.int64)
+    # group equal cells, then pick the lexicographically smallest point
+    order = np.lexsort(tuple(allp.T[::-1]) + tuple(keys.T[::-1]))
+    keys = keys[order]
+    allp = allp[order]
+    first = np.ones(len(allp), dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    allp = allp[first]
     factors = [m.lip_bound if m.lip_bound is not None else 1.0 for m in ifs.maps]
     # a pitch is an upper bound on sample spacing, so a degenerate (all maps
     # constant) image may keep the input pitch rather than claim zero

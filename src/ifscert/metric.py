@@ -56,7 +56,7 @@ def hausdorff(a: PointCloud, b: PointCloud, trees: tuple[cKDTree, cKDTree] | Non
     caller, who may reuse them, balanced or not; by default both are built
     here. With ``witness``, return ``(distance, in_a, point)``: the point
     farthest from the other cloud, and whether it belongs to ``a`` (ties go
-    to ``a``).
+    to ``a``). A gap whose square overflows is refused, not read as inf.
 
     Each pass is :func:`_nearest_distances`: it returns every point's exact
     distance to the other cloud, the same floats as one unbounded query, so
@@ -66,6 +66,8 @@ def hausdorff(a: PointCloud, b: PointCloud, trees: tuple[cKDTree, cKDTree] | Non
     d_ab = _nearest_distances(tb, a.points)
     d_ba = _nearest_distances(ta, b.points)
     gap = float(max(d_ab.max(), d_ba.max()))
+    if gap == np.inf:  # the clouds are finite, so a squared gap overflowed
+        raise ValueError("Hausdorff distance overflows: a gap's square passes the float range")
     if not witness:
         return gap
     in_a = bool(d_ab.max() >= d_ba.max())

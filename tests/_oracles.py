@@ -186,6 +186,66 @@ def self_intersects_allpairs(line, tol: float):
     return True, (int(ii[k]), int(jj[k]))
 
 
+def zigzag_vertices_per_tooth(n: int) -> np.ndarray:
+    """The vertices of ``build_zigzag_ln(n)``, interleaved one tooth at a time.
+
+    The same tooth count, trim radius and angles as the builder, from the
+    same private helpers; the inner and outer vertices of each tooth are
+    then placed by a Python loop in travel direction.
+    """
+    from ifscert import continua
+    from ifscert.geometry import polar_to_cartesian
+
+    lay = continua._zigzag_layout(n)
+    target = 2.0 ** n
+    M = max(5, int(math.ceil(target / (lay["r_hi"] - lay["r_lo"]))) | 1)
+    while M >= 7 and continua._zigzag_total(M - 2, lay["r_hi"], lay) >= target * (1 + 1e-12):
+        M -= 2
+    while continua._zigzag_total(M, lay["r_hi"], lay) < target:
+        M += 2
+    t_floor = continua._TRIM_FLOOR * lay["scale"]
+    t = continua._solve_trim(M, target, lay, t_floor)
+    if t is None:
+        M += 2
+        t = continua._solve_trim(M, target, lay, t_floor)
+    j_star = M // 2
+    if j_star % 2 == 0:
+        j_star -= 1
+    j_star = min(max(j_star, 1), M - 2)
+    thetas = (lay["theta_c"] - lay["width"]) + lay["width"] / (M - 1) * np.arange(M)
+    peaks = np.full(M, lay["r_hi"])
+    peaks[j_star - 1] = peaks[j_star] = t
+    polar = np.empty((2 * M + 2, 2))
+    polar[0] = (0.0, thetas[0])
+    for j in range(M):
+        inner, outer = (lay["r_lo"], thetas[j]), (peaks[j], thetas[j])
+        polar[1 + 2 * j], polar[2 + 2 * j] = (inner, outer) if j % 2 == 0 else (outer, inner)
+    polar[-1] = (lay["scale"], lay["theta_c"])
+    verts = polar_to_cartesian(polar)
+    verts[0] = 0.0
+    return verts
+
+
+def angle_key_strided(P, Q, centre, reach):
+    """``geometry._angle_key`` on ``(n, 2)`` rows: ``einsum`` dot products, ``hypot`` of transposes."""
+    from ifscert.geometry import _SLACK
+
+    a = P - centre
+    b = Q - centre
+    ta = np.arctan2(a[:, 1], a[:, 0])
+    tb = np.arctan2(b[:, 1], b[:, 0])
+    v = b - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(-np.einsum("ij,ij->i", a, v) / np.einsum("ij,ij->i", v, v), 0.0, 1.0)
+        d_lo = np.hypot(*(a + t[:, None] * v).T) - _SLACK * (np.hypot(*a.T) + np.hypot(*b.T))
+        wild = ~(d_lo > 2 * reach)
+        pad = np.arcsin(np.where(wild, 1.0, reach / d_lo)) * (1 + _SLACK) + _SLACK
+    lo = np.minimum(ta, tb) - pad
+    hi = np.maximum(ta, tb) + pad
+    wild |= (lo <= -np.pi) | (hi >= np.pi) | (hi - lo >= np.pi)
+    return lo, hi, wild
+
+
 # ---------------------------------------------------------------------------
 # per-point text formats: the one-row-at-a-time writers and reader that the
 # chunked ones in ``ifscert.formats`` and ``ifscert.svg`` must match exactly

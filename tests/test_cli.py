@@ -542,14 +542,23 @@ def test_overflowing_coordinates_print_no_numpy_warning(tmp_path, halves_ifs, ca
     # the segment is this system's attractor, so no certificate may deny that
     halves = tmp_path / "seg.ifs"
     halves.write_text("dim 2\naffine 0.5 0 0 0.5 0 0\naffine 0.5 0 0 0.5 5e299 0\n")
+    # the unit segment and its image pieces 1e200 apart, below the 1e201 threshold:
+    # the gap's square overflows, so the certificate must not read it as inf
+    unit = tmp_path / "unit.model"
+    unit.write_text("dim 2\npolyline a 2\n0 0\n1 0\n")
+    apart = tmp_path / "apart.ifs"
+    apart.write_text("dim 2\naffine 0.5 0 0 0.5 0 0\naffine 0.5 0 0 0.5 1e200 0\n")
     capfd.readouterr()
     runs = [
         (["chain", line, "p0", "1e200,0", "--eps0", "1e-3", "--kmax", "0"], 2),
+        # images past the int64 keys of the half-pitch grid, which no step could dedupe
         (["attractor", halves_ifs, "--box=0,0,1e308,1e308", "--max-iter", "2",
-          "--out", str(tmp_path / "att.model"), "--quiet"], 1),
+          "--out", str(tmp_path / "att.model"), "--quiet"], 2),
         (["chain", str(big), "p0", "p1", "--eps0", "1e299", "--kmax", "0"], 2),
         (["certify", "fixed-set", "--ifs", str(halves), "--model", str(seg), "--delta", "1e298",
           "--out", str(tmp_path / "seg.cert")], 2),
+        (["certify", "fixed-set", "--ifs", str(apart), "--model", str(unit), "--delta", "1e200",
+          "--out", str(tmp_path / "apart.cert")], 2),
     ]
     for argv, code in runs:
         with warnings.catch_warnings(record=True) as caught:
@@ -562,4 +571,4 @@ def test_overflowing_coordinates_print_no_numpy_warning(tmp_path, halves_ifs, ca
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         else:
             assert err == "", (argv, err)
-    assert not (tmp_path / "seg.cert").exists()
+    assert not (tmp_path / "seg.cert").exists() and not (tmp_path / "apart.cert").exists()

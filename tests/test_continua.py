@@ -19,7 +19,7 @@ from ifscert.certify import needle_dichotomy_check, p_point_coverage
 from ifscert.geometry import ContinuumModel, Polyline, polar_to_cartesian, polyline_length, self_intersects
 from ifscert.ifs import IfsSpec, affine_map
 
-from _oracles import mp_needle_point
+from _oracles import mp_needle_point, zigzag_vertices_per_tooth
 
 
 # --- the oscillating wave -------------------------------------------------
@@ -165,6 +165,13 @@ def test_zigzag_lengths_are_powers_of_two():
     for n in range(1, 9):
         line = build_zigzag_ln(n)
         assert polyline_length(line) == pytest.approx(2.0**n, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_zigzag_vertices_match_the_per_tooth_interleave(n):
+    got = build_zigzag_ln(n).vertices
+    want = zigzag_vertices_per_tooth(n)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_zigzag_endpoints_and_confinement():

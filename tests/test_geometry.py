@@ -8,7 +8,11 @@ from ifscert.geometry import (
     ContinuumModel,
     PointCloud,
     Polyline,
+    _angle_key,
+    _axis_key,
+    _candidate_count,
     _candidate_pairs,
+    _count_candidates,
     _cross_mask_2d,
     _segment_distance_batch,
     polar_to_cartesian,
@@ -17,7 +21,7 @@ from ifscert.geometry import (
     self_intersects,
 )
 
-from _oracles import self_intersects_allpairs
+from _oracles import angle_key_strided, self_intersects_allpairs
 
 
 def test_polyline_rejects_degenerate_input():
@@ -233,6 +237,51 @@ def test_candidate_pairs_with_labels_skip_one_label_and_keep_every_close_pair(se
                 assert all(labels[a] != labels[b] for a, b in pairs)
                 close = {(a, b) for a, b in close if labels[a] != labels[b]}
             assert close <= set(pairs)
+
+
+def _broad_phase_segments(rng, case):
+    """Seeded segments for the broad-phase keys: fans from the origin, whose
+    first legs are wild about it, random walks, and zero-length segments."""
+    k = int(rng.integers(2, 80))
+    if case % 3 == 0:
+        theta = np.sort(rng.uniform(-np.pi, np.pi, size=k))
+        radius = np.where(np.arange(k) % 2, 1.0, 0.3)
+        pts = np.vstack([[0.0, 0.0], np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])])
+    else:
+        pts = np.cumsum(rng.normal(size=(k + 1, 2)) * 0.3, axis=0)
+    if case % 4 == 1:  # small integers of mixed sign, exact zeros among them
+        pts = np.round(pts)
+    starts, ends = pts[:-1].copy(), pts[1:].copy()
+    flat = rng.random(len(starts)) < 0.1
+    ends[flat] = starts[flat]
+    return starts, ends
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_angle_key_matches_the_strided_formula(seed):
+    rng = np.random.default_rng(seed)
+    for case in range(20):
+        starts, ends = _broad_phase_segments(rng, case)
+        centre = np.zeros(2) if case % 2 else rng.normal(size=2)
+        for reach in (0.0, 1e-9, 0.05, 2.0):
+            got = _angle_key(starts, ends, centre, reach)
+            want = angle_key_strided(starts, ends, centre, reach)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (case, reach)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sort_only_count_equals_the_argsort_count(seed):
+    rng = np.random.default_rng(100 + seed)
+    wild_keys = 0
+    for case in range(20):
+        starts, ends = _broad_phase_segments(rng, case)
+        for reach in (0.0, 0.05, 2.0):
+            keys = [_axis_key(starts, ends, axis, reach) for axis in range(2)]
+            keys += [_angle_key(starts, ends, c, reach) for c in (np.zeros(2), rng.normal(size=2))]
+            for key in keys:
+                assert _candidate_count(*key) == _count_candidates(*key)[0], (case, reach)
+                wild_keys += bool(key[2].any())
+    assert wild_keys > 0
 
 
 def test_sweep_handles_large_polygon_and_planted_crossing():

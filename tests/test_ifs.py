@@ -230,6 +230,15 @@ def test_hutchinson_monotone_on_well_separated_clouds():
     assert out1 <= out2
 
 
+def test_hutchinson_refuses_images_past_its_grid_keys():
+    # half-pitch cells of 5e-4: int64 keys hold images out to 4e15 cells, 2e12
+    f = _sierpinski()
+    near = hutchinson(f, PointCloud(np.array([[0.0, 0.0], [2e12, 0.0]]), 1e-3))
+    assert len(near) == 6
+    with pytest.raises(ValueError, match="too far out"):
+        hutchinson(f, PointCloud(np.array([[0.0, 0.0], [1e13, 0.0]]), 1e-3))
+
+
 def test_hutchinson_contracts_hausdorff():
     from ifscert.metric import hausdorff
 

@@ -43,6 +43,13 @@ def test_hausdorff_matches_double_loop():
     assert hausdorff(a, b) == pytest.approx(max(d_ab, d_ba), rel=1e-12)
 
 
+def test_hausdorff_refuses_a_gap_whose_square_overflows():
+    origin = PointCloud(np.zeros((1, 2)), 1.0)
+    assert hausdorff(origin, PointCloud(np.array([[1e150, 0.0]]), 1.0)) == 1e150
+    with pytest.raises(ValueError, match="overflows"):
+        hausdorff(origin, PointCloud(np.array([[1e200, 0.0]]), 1.0))
+
+
 @pytest.mark.filterwarnings("ignore:epsilon")
 def test_eps_graph_hops_strictly_below_epsilon():
     cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [2.5, 0.0]]), 0.5)

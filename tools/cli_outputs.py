@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Write the output of every documented CLI run to a directory.
 
-The runs are the README's commands, the ten runs of acceptance criterion 10
-(read from ``tests/_cli_runs.py``) and the certificates of perfbench's
-``certify_suite`` (read from the ``CERTIFICATES`` table of
-``perfbench/workloads.py``, the seeded ones at seeds 0, 1 and 2). Each is
-``python -m ifscert.cli`` in a fresh process. This script writes the
-function-system files the runs read.
+The runs are ``build zigzag --n 7`` and ``build P --n-max 7``, the largest
+lines perfbench's ``zigzag_simple`` builds; the README's commands; the ten
+runs of acceptance criterion 10 (read from ``tests/_cli_runs.py``); and the
+certificates of perfbench's ``certify_suite`` (read from the
+``CERTIFICATES`` table of ``perfbench/workloads.py``, the seeded ones at
+seeds 0, 1 and 2). Each is ``python -m ifscert.cli`` in a fresh process.
+This script writes the function-system files the runs read.
 
 Each group of runs works in its own subdirectory of OUTDIR, on relative
 paths, so no output names the directory. The group's ``log.txt`` holds
@@ -50,6 +51,12 @@ README_RUNS = [(shlex.split(command), stdin) for command, stdin in [
     ("plot /dev/stdin --out l1.svg", "l1.model"),
 ]]
 
+# the zigzag builds at the sizes perfbench's zigzag_simple runs, past any README run
+BUILDER_RUNS = [(shlex.split(command), None) for command in [
+    "build zigzag --n 7 --out l7.model",
+    "build P --n-max 7 --out P7.model",
+]]
+
 
 def groups():
     """group -> (function-system files, runs); a run is (argv, file piped to stdin or None)."""
@@ -71,6 +78,7 @@ def groups():
             suite_runs.append((["certify", kind, "--ifs", f"{label}.ifs", "--model", model,
                                 *[x.format(seed=seed) for x in extra], "--out", f"{out}.cert"], None))
     return {
+        "builders": ({}, BUILDER_RUNS),
         "readme": ({**IFS_FILES, "reparam.ifs": FIXED_TIP}, README_RUNS),
         "criterion10": (IFS_FILES, [(argv, None) for argv in CRITERION_10_RUNS]),
         "certify_suite": ({f"{label}.ifs": text for label, text, *_ in CERTIFICATES}, suite_runs),
