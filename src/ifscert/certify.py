@@ -69,26 +69,24 @@ def length_budget(i: int, n: int) -> bool:
     return 2 ** i >= 2 ** n
 
 
-def image_length_bound(f: MapSpec, line: Polyline, validate: bool = True) -> float:
+def image_length_bound(f: MapSpec, line: Polyline) -> float:
     """Certified bound ``lip_bound * length`` for the image of a polyline.
 
-    Refuses maps without a Lipschitz bound. When ``validate`` is set, the
-    chord length of a finely sampled image is compared against the bound and
-    a violation raises :class:`CertificationError`.
+    Refuses maps without a Lipschitz bound. The chord length of a finely
+    sampled image is compared against the bound, and a violation raises
+    :class:`CertificationError`.
     """
     if f.lip_bound is None:
         raise ValueError("image_length_bound needs a map with a Lipschitz bound")
     length = polyline_length(line)
     bound = f.lip_bound * length
-    if validate:
-        pitch = max(length / 2000.0, 1e-12)
-        pts = sample_polyline(line, pitch).points
-        image = eval_map(f, pts)
-        chained = float(np.linalg.norm(np.diff(image, axis=0), axis=1).sum())
-        if chained > bound * (1 + 1e-9) + 1e-12:
-            raise CertificationError(
-                f"image chord length {chained:.12g} exceeds certified bound {bound:.12g}"
-            )
+    pitch = max(length / 2000.0, 1e-12)
+    image = eval_map(f, sample_polyline(line, pitch).points)
+    chained = float(np.linalg.norm(np.diff(image, axis=0), axis=1).sum())
+    if chained > bound * (1 + 1e-9) + 1e-12:
+        raise CertificationError(
+            f"image chord length {chained:.12g} exceeds certified bound {bound:.12g}"
+        )
     return bound
 
 

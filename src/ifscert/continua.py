@@ -18,8 +18,6 @@ from .geometry import (
     PointCloud,
     Polyline,
     _MAX_SAMPLE_POINTS,
-    _candidate_pairs,
-    _segment_distance_batch,
     polar_to_cartesian,
     polyline_length,
     self_intersects,
@@ -306,9 +304,9 @@ def _solve_trim(M: int, target: float, lay: dict, t_floor: float):
 def build_P(n_max: int) -> ContinuumModel:
     """Union of the zigzag lines for n = 1..n_max with marked tips.
 
-    :func:`verify_P` checks the result: every segment pair of distinct
-    lines may meet only at the shared origin, each line must be simple, and
-    every vertex must lie in its line's wedge.
+    :func:`verify_P` checks the result: each line must be simple and every
+    vertex must lie in its line's wedge, so distinct lines meet only at the
+    shared origin.
     """
     if not 1 <= n_max <= ZIGZAG_MAX_N:
         raise ValueError(f"n_max must be between 1 and {ZIGZAG_MAX_N}")
@@ -337,42 +335,23 @@ def wedge_bounds_ok(line: Polyline, n: int) -> bool:
 
 
 def verify_P(model: ContinuumModel) -> None:
-    """Raise if a line leaves its wedge or self-intersects, or two lines meet off the origin.
+    """Raise if a line leaves its wedge or self-intersects.
 
-    Piece ``n`` of ``model`` (counting from 1) is checked as the line ``l_n``.
-    Every segment pair of distinct lines is checked, and first, so a line
-    that strays onto another is reported as a contact of the two lines.
+    Piece ``n`` of ``model`` (counting from 1) is checked as the line
+    ``l_n``. Distinct lines then meet only at the origin, and only where
+    both end there, with no test of their segment pairs. Wedge n is the
+    open sector of angles ``(0.75, 1.25) * 2**-n`` about the origin, and
+    both ends are exact dyadics. Sectors n and n + 1 lie ``2**-(n+3)``
+    apart, far more than the few-ulp error of ``arctan2``, so each vertex
+    off the origin that :func:`wedge_bounds_ok` accepts lies in its own
+    line's sector, and no two lines share a sector. Each sector is convex
+    and narrower than pi, so a segment between two of its points, or
+    between one of them and the apex, stays inside it, and it passes
+    through the apex only if it ends there.
     """
-    _check_line_contacts(model.pieces)
     for n, line in enumerate(model.pieces, start=1):
         if not wedge_bounds_ok(line, n):
             raise RuntimeError(f"line {n} leaves its wedge")
         flag, witness = self_intersects(line, tol=0.0)
         if flag:
             raise RuntimeError(f"line {n} self-intersects at segments {witness}")
-
-
-def _check_line_contacts(lines: tuple[Polyline, ...]) -> None:
-    """Segments of distinct lines may meet only where both end at the origin.
-
-    One sort-and-prune pass over the segments of all lines, told each
-    segment's line, so no pair of one line is built; the angle key about
-    the origin keeps each line's sector apart, so few pairs are built.
-    Raises for the smallest pair of lines in contact elsewhere.
-    """
-    segments = [line.segments() for line in lines]
-    starts = np.concatenate([s for s, _ in segments])
-    ends = np.concatenate([e for _, e in segments])
-    label = np.repeat(np.arange(len(lines)), [len(s) for s, _ in segments])
-    at_origin = ~starts.any(axis=1) | ~ends.any(axis=1)
-    tol = 1e-15
-    worst = len(lines) ** 2
-    for i, j in _candidate_pairs(starts, ends, tol, label):
-        a, b = np.minimum(label[i], label[j]), np.maximum(label[i], label[j])
-        close = _segment_distance_batch(starts[i], ends[i], starts[j], ends[j]) < tol
-        stray = close & ~(at_origin[i] & at_origin[j])
-        if stray.any():
-            worst = min(worst, int((a * len(lines) + b)[stray].min()))
-    if worst < len(lines) ** 2:
-        a, b = divmod(worst, len(lines))
-        raise RuntimeError(f"lines {a + 1} and {b + 1} touch away from the origin")

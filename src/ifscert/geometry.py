@@ -346,35 +346,11 @@ def _candidate_count(lo, hi, wild):
     return int(ends.sum()) - m * (m + 1) // 2 + (n - m) * m + (n - m) * (n - m - 1) // 2
 
 
-def _other_labels(own, counts):
-    """Drop the candidates of one label from the sweep.
-
-    The k-th segment of the sweep, of label ``own[k]``, has the candidates
-    ``k + 1 .. k + counts[k]``. Returns ``(pool, first, counts)`` with its
-    candidates of other labels as ``pool[first[k] + t]``, t < ``counts[k]``:
-    ``pool`` holds, for each label, the sweep positions of all other
-    labels, one block after another.
-    """
-    first = np.arange(1, len(own) + 1)
-    ends = first + counts
-    pools = []
-    at = 0
-    for label in np.unique(own):
-        others = np.flatnonzero(own != label)
-        mine = np.flatnonzero(own == label)
-        first[mine] = at + np.searchsorted(others, mine + 1)
-        ends[mine] = at + np.searchsorted(others, ends[mine])
-        pools.append(others)
-        at += len(others)
-    return np.concatenate([np.zeros(0, dtype=np.intp)] + pools), first, ends - first
-
-
-def _candidate_pairs(P, Q, tol, labels=None):
+def _candidate_pairs(P, Q, tol):
     """Yield candidate segment pairs ``(i, j)`` in chunks; every pair within ``tol`` is among them.
 
     Each unordered pair of distinct segments comes at most once, in either
-    order; given ``labels``, only pairs of two labels, and no pair of one
-    label is built. Broad phase: each segment gets an interval under a key,
+    order. Broad phase: each segment gets an interval under a key,
     and only pairs whose intervals overlap are candidates. The keys are the
     coordinates and, in 2-D, the polar angle about the origin and about the
     bounding-box centre; each key's candidates are counted with two sorts
@@ -439,9 +415,6 @@ def _candidate_pairs(P, Q, tol, labels=None):
         keys += [_angle_key(P, Q, c, reach) for c in centres]
     totals = [_candidate_count(*key) for key in keys]
     _, order, counts, wild = _count_candidates(*keys[totals.index(min(totals))])
-    first, pool = np.arange(1, len(order) + 1), np.arange(len(order))
-    if labels is not None:
-        pool, first, counts = _other_labels(labels[order], counts)
 
     cum = np.concatenate([[0], np.cumsum(counts)])
     k = 0
@@ -449,15 +422,13 @@ def _candidate_pairs(P, Q, tol, labels=None):
         stop = max(k + 1, int(np.searchsorted(cum, cum[k] + _PAIR_CHUNK, side="right")) - 1)
         c = counts[k:stop]
         rep = np.repeat(np.arange(k, stop), c)
-        later = np.repeat(first[k:stop] - (cum[k:stop] - cum[k]), c) + np.arange(len(rep))
-        yield order[rep], order[pool[later]]
+        later = rep + 1 + np.arange(len(rep)) - np.repeat(cum[k:stop] - cum[k], c)
+        yield order[rep], order[later]
         k = stop
     after = np.ones(n, dtype=bool)
     for i in np.flatnonzero(wild):  # wild segments come from the 2-D angle keys only
         after[i] = False
         near = after | ~wild
-        if labels is not None:
-            near &= labels != labels[i]
         d = Q[i] - P[i]
         length = float(np.hypot(d[0], d[1]))
         if length > 0:

@@ -36,6 +36,11 @@ _SNAP_SLACK = 1.000001
 # adds the transpose, another 12.
 _MAX_EDGES = 8e7
 
+# The largest hop bound a graph takes. Every hop it keeps is shorter, so the
+# hop's squared length stays below 2**1020 and is finite; a gap whose square
+# overflows is longer than the bound, and rightly dropped.
+_MAX_EPSILON = 2.0 ** 510
+
 # Candidate pairs measured at a time while the sweep builds a graph.
 _SWEEP_CHUNK = 1 << 18
 
@@ -143,10 +148,13 @@ def eps_graph(cloud: PointCloud, epsilon: float) -> EpsGraph:
     The pairs come from :func:`_sweep_ranges` and are measured a chunk at a
     time. A graph whose candidate count exceeds the edge budget is counted
     exactly with the KD-tree before it is built, and refused if its pairs
-    within ``epsilon`` still exceed the budget.
+    within ``epsilon`` still exceed the budget. An ``epsilon`` above
+    ``_MAX_EPSILON`` is refused.
     """
     if not epsilon > 0:  # NaN too: every pair would be a candidate
         raise ValueError("epsilon must be positive")
+    if epsilon > _MAX_EPSILON:
+        raise ValueError(f"epsilon={epsilon:g} is above 2**510, where a hop's square could overflow")
     if epsilon < _MIN_HOP_PITCHES * cloud.pitch:
         warnings.warn(
             f"epsilon={epsilon:g} is below {_MIN_HOP_PITCHES:g} pitches; "
@@ -308,7 +316,8 @@ def nearest_samples(samples: np.ndarray, points: np.ndarray) -> tuple[np.ndarray
     the samples. The rule: the nearest sample, ties to the lowest index.
     Each squared distance is summed axis by axis in order, as scipy's
     KD-tree query sums it in up to seven dimensions, so there the distance
-    is the query's float.
+    is the query's float. A nearest gap whose square overflows is refused,
+    not read as inf.
     """
     dist = np.empty(len(points))
     idx = np.empty(len(points), dtype=np.intp)
@@ -319,6 +328,9 @@ def nearest_samples(samples: np.ndarray, points: np.ndarray) -> tuple[np.ndarray
                 gap = samples[:, axis] - pt[axis]
                 sq += gap * gap
         idx[k] = np.argmin(sq)
+        if sq[idx[k]] == np.inf:  # every gap's square overflowed, so argmin picked a tie
+            raise ValueError(f"distance from {pt} to the nearest sample overflows: "
+                             "its square passes the float range")
         dist[k] = math.sqrt(sq[idx[k]])
     return dist, idx
 

@@ -186,6 +186,44 @@ def self_intersects_allpairs(line, tol: float):
     return True, (int(ii[k]), int(jj[k]))
 
 
+def _orientation(a, b, c) -> int:
+    """Exact sign of the turn a -> b -> c, for points with ``Fraction`` coordinates."""
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (v > 0) - (v < 0)
+
+
+def segments_meet_off_origin(p1, q1, p2, q2) -> bool:
+    """Whether two 2-D segments of positive length share a point other than
+    an origin endpoint of both, in exact rational arithmetic.
+
+    Every float is a rational, so ``fractions.Fraction`` gives each
+    orientation's exact sign. The segments meet when each one's ends lie
+    strictly on both sides of the other's line, or an end of one lies on
+    the other (a zero orientation and inside its box), which covers
+    collinear overlap. Segments that both end at the origin meet elsewhere
+    only when their other ends point the same way from it.
+    """
+    from fractions import Fraction
+
+    p1, q1, p2, q2 = ([Fraction(float(c)) for c in pt] for pt in (p1, q1, p2, q2))
+
+    def inside(a, b, c):
+        return all(min(a[k], b[k]) <= c[k] <= max(a[k], b[k]) for k in (0, 1))
+
+    o1, o2 = _orientation(p1, q1, p2), _orientation(p1, q1, q2)
+    o3, o4 = _orientation(p2, q2, p1), _orientation(p2, q2, q1)
+    meet = (o1 * o2 < 0 and o3 * o4 < 0) or any(
+        o == 0 and inside(a, b, c)
+        for o, a, b, c in ((o1, p1, q1, p2), (o2, p1, q1, q2), (o3, p2, q2, p1), (o4, p2, q2, q1)))
+    origin = [Fraction(0), Fraction(0)]
+    ends1, ends2 = [p1, q1], [p2, q2]
+    if not meet or origin not in ends1 or origin not in ends2:
+        return meet
+    a = ends1[1 - ends1.index(origin)]
+    b = ends2[1 - ends2.index(origin)]
+    return _orientation(origin, a, b) == 0 and a[0] * b[0] + a[1] * b[1] > 0
+
+
 def zigzag_vertices_per_tooth(n: int) -> np.ndarray:
     """The vertices of ``build_zigzag_ln(n)``, interleaved one tooth at a time.
 

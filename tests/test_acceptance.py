@@ -229,7 +229,7 @@ def test_criterion_06_length_budget_and_image_length_bounds():
         A *= lam / np.linalg.svd(A, compute_uv=False)[0]
         f = affine_map(A, rng.normal(size=2))
         line = lines[seed % len(lines)]
-        bound = image_length_bound(f, line, validate=True)
+        bound = image_length_bound(f, line)
         length = float(np.linalg.norm(np.diff(line.vertices, axis=0), axis=1).sum())
         pts = sample_polyline(line, length / 4000.0).points
         chained = float(np.linalg.norm(np.diff(eval_map(f, pts), axis=0), axis=1).sum())

@@ -91,7 +91,6 @@ def test_image_length_bound_catches_false_declarations():
     seg = Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(CertificationError, match="exceeds certified bound"):
         image_length_bound(liar, seg)
-    assert image_length_bound(liar, seg, validate=False) == pytest.approx(0.5)
 
 
 # --- fixed-set certificates ------------------------------------------------------

@@ -548,6 +548,16 @@ def test_overflowing_coordinates_print_no_numpy_warning(tmp_path, halves_ifs, ca
     unit.write_text("dim 2\npolyline a 2\n0 0\n1 0\n")
     apart = tmp_path / "apart.ifs"
     apart.write_text("dim 2\naffine 0.5 0 0 0.5 0 0\naffine 0.5 0 0 0.5 1e200 0\n")
+    # every image point about 1e200 from every tip: no gap may read as inf
+    P = str(tmp_path / "P.model")
+    assert run("build", "P", "--n-max", "3", "--out", P, "--quiet") == 0
+    far_ifs = tmp_path / "far.ifs"
+    far_ifs.write_text("dim 2\nmode weak\naffine 1 0 0 1 1e200 0 attested\n")
+    # two pieces 1e155 - 1e150 apart: at epsilon 1e160 a graph would drop the
+    # gap, whose square overflows, and call the model disconnected
+    far = tmp_path / "far.model"
+    far.write_text("dim 2\npolyline a 2\n0 0\n1e150 0\npolyline b 2\n1e155 0\n1.0000000001e155 0\n"
+                   "marked s 0 0\nmarked t 1e155 0\n")
     capfd.readouterr()
     runs = [
         (["chain", line, "p0", "1e200,0", "--eps0", "1e-3", "--kmax", "0"], 2),
@@ -559,6 +569,9 @@ def test_overflowing_coordinates_print_no_numpy_warning(tmp_path, halves_ifs, ca
           "--out", str(tmp_path / "seg.cert")], 2),
         (["certify", "fixed-set", "--ifs", str(apart), "--model", str(unit), "--delta", "1e200",
           "--out", str(tmp_path / "apart.cert")], 2),
+        (["certify", "p-coverage", "--ifs", str(far_ifs), "--model", P,
+          "--out", str(tmp_path / "far.cert")], 2),
+        (["chain", str(far), "s", "t", "--eps0", "1e160", "--kmax", "2"], 2),
     ]
     for argv, code in runs:
         with warnings.catch_warnings(record=True) as caught:
@@ -571,4 +584,4 @@ def test_overflowing_coordinates_print_no_numpy_warning(tmp_path, halves_ifs, ca
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         else:
             assert err == "", (argv, err)
-    assert not (tmp_path / "seg.cert").exists() and not (tmp_path / "apart.cert").exists()
+    assert not any((tmp_path / name).exists() for name in ("seg.cert", "apart.cert", "far.cert"))

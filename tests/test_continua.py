@@ -19,7 +19,7 @@ from ifscert.certify import needle_dichotomy_check, p_point_coverage
 from ifscert.geometry import ContinuumModel, Polyline, polar_to_cartesian, polyline_length, self_intersects
 from ifscert.ifs import IfsSpec, affine_map
 
-from _oracles import mp_needle_point, zigzag_vertices_per_tooth
+from _oracles import mp_needle_point, segments_meet_off_origin, zigzag_vertices_per_tooth
 
 
 # --- the oscillating wave -------------------------------------------------
@@ -198,7 +198,7 @@ def test_build_P_marks_every_tip():
     for n in range(1, 5):
         tip = polar_to_cartesian([2.0**-n, 2.0**-n])
         assert np.allclose(pm.marked[f"p{n}"], tip, rtol=0, atol=1e-15)
-    verify_P(pm)  # re-check on demand: simplicity, wedges, apex contacts
+    verify_P(pm)  # re-check on demand: simplicity and wedges
 
 
 def test_build_P_range_check():
@@ -208,16 +208,88 @@ def test_build_P_range_check():
         build_P(13)
 
 
+def _with_vertex(pm, n, k, point):
+    """``pm`` with vertex ``k`` of line ``l_n`` moved to ``point``."""
+    v = np.array(pm.pieces[n - 1].vertices)
+    v[k] = point
+    pieces = list(pm.pieces)
+    pieces[n - 1] = Polyline(v, name=f"l{n}")
+    return ContinuumModel(tuple(pieces), pm.marked, 2, meta=pm.meta)
+
+
+def _moved_segments_meet_other_lines(model, n, k):
+    """Whether a segment at vertex ``k`` of ``l_n`` meets another line off the origin (exactly)."""
+    v = model.pieces[n - 1].vertices
+    mine = [(v[a], v[a + 1]) for a in (k - 1, k) if 0 <= a < len(v) - 1]
+    for m, line in enumerate(model.pieces, start=1):
+        if m == n:
+            continue
+        P, Q = line.segments()
+        lo, hi = np.minimum(P, Q), np.maximum(P, Q)
+        for p, q in mine:
+            # segments that meet have overlapping boxes; float comparisons are exact
+            near = np.flatnonzero(np.all((lo <= np.maximum(p, q)) & (np.minimum(p, q) <= hi), axis=1))
+            if any(segments_meet_off_origin(p, q, P[j], Q[j]) for j in near):
+                return True
+    return False
+
+
 def test_verify_P_finds_lines_touching_away_from_the_origin():
     # a vertex of l2 moved onto the middle of a tooth leg of l1, at radius
-    # 0.25, far from the apex
+    # 0.25, far from the apex: it leaves l2's wedge, which keeps the lines apart
     pm = build_P(3)
     l1, l2, l3 = pm.pieces
-    v = np.array(l2.vertices)
-    v[3] = 0.5 * (l1.vertices[5] + l1.vertices[6])
-    bad = ContinuumModel((l1, Polyline(v, name="l2"), l3), pm.marked, 2, meta=pm.meta)
-    with pytest.raises(RuntimeError, match="lines 1 and 2 touch away from the origin"):
+    bad = _with_vertex(pm, 2, 3, 0.5 * (l1.vertices[5] + l1.vertices[6]))
+    assert _moved_segments_meet_other_lines(bad, 2, 3)
+    assert not wedge_bounds_ok(bad.pieces[1], 2)
+    assert wedge_bounds_ok(l1, 1) and wedge_bounds_ok(l3, 3)
+    with pytest.raises(RuntimeError, match="^line 2 leaves its wedge$"):
         verify_P(bad)
+
+
+def test_verify_P_accepts_a_vertex_next_to_the_apex():
+    # vertex 1 of l2 on its own ray at radius 1e-18: within 1e-15 of l1's
+    # first segment, but in l2's wedge, so the lines meet only at the origin
+    pm = build_P(3)
+    v = pm.pieces[1].vertices[1]
+    near = _with_vertex(pm, 2, 1, v * (1e-18 / np.hypot(*v)))
+    verify_P(near)
+    assert not _moved_segments_meet_other_lines(near, 2, 1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_P_accepts_no_union_whose_lines_meet_off_the_origin(seed):
+    # one vertex moved onto a segment of another line, by a small random step,
+    # or toward the origin by a factor of 1e-1 to 1e-18; whenever verify_P
+    # accepts, no segment at the moved vertex meets another line but at the
+    # origin, where both end (checked exactly)
+    rng = np.random.default_rng(seed)
+    models = {n_max: build_P(n_max) for n_max in (3, 4)}
+    outcomes = []
+    for case in range(30):
+        pm = models[3 + case % 2]
+        n = int(rng.integers(1, len(pm.pieces) + 1))
+        v = pm.pieces[n - 1].vertices
+        k = int(rng.integers(0, len(v)))
+        how = case % 3
+        if how == 0:
+            other = pm.pieces[int(rng.choice([m for m in range(len(pm.pieces)) if m != n - 1]))]
+            j = int(rng.integers(0, len(other.vertices) - 1))
+            t = rng.uniform()
+            point = (1 - t) * other.vertices[j] + t * other.vertices[j + 1]
+        elif how == 1:
+            point = v[k] + rng.normal(size=2) * 2.0 ** -n * 10.0 ** -rng.uniform(1, 4)
+        else:
+            point = v[k] * 10.0 ** -rng.uniform(1, 18)
+        model = _with_vertex(pm, n, k, point)
+        try:
+            verify_P(model)
+        except RuntimeError:
+            outcomes.append(False)
+            continue
+        outcomes.append(True)
+        assert not _moved_segments_meet_other_lines(model, n, k), (case, n, k, point)
+    assert any(outcomes) and not all(outcomes)
 
 
 def test_wedge_bounds_reject_foreign_line():

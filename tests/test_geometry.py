@@ -211,9 +211,10 @@ def test_allpairs_row_blocks_match_triu_reference(monkeypatch, closed, dim):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_candidate_pairs_with_labels_skip_one_label_and_keep_every_close_pair(seed):
-    # fans from the origin, one label each, in wedges that may overlap: their
-    # first legs are wild under the angle key about the origin, which the
-    # broad phase picks for most of them; and random walks that cross them
+    # fans from the origin in wedges that may overlap: their first legs are
+    # wild under the angle key about the origin, which the broad phase picks
+    # for most of them; and random walks that cross them (the name is kept
+    # from the label mode that this broad phase no longer has)
     rng = np.random.default_rng(seed)
     walks = []
     for m in range(5):
@@ -224,19 +225,14 @@ def test_candidate_pairs_with_labels_skip_one_label_and_keep_every_close_pair(se
     walks += [np.cumsum(rng.normal(size=(int(rng.integers(2, 12)), 2)) * 0.3, axis=0) for _ in range(seed % 3)]
     starts = np.concatenate([w[:-1] for w in walks])
     ends = np.concatenate([w[1:] for w in walks])
-    labels = np.repeat(np.arange(len(walks)), [len(w) - 1 for w in walks])
     i, j = np.triu_indices(len(starts), 1)
     dist = _segment_distance_batch(starts[i], ends[i], starts[j], ends[j])
     for tol in (0.0, 0.05, 0.5):
-        for given in (None, labels):
-            pairs = [(min(a, b), max(a, b)) for c in _candidate_pairs(starts, ends, tol, given)
-                     for a, b in zip(*(x.tolist() for x in c))]
-            assert len(pairs) == len(set(pairs)), "a pair came twice"
-            close = {(a, b) for a, b, d in zip(i.tolist(), j.tolist(), dist.tolist()) if d <= tol}
-            if given is not None:
-                assert all(labels[a] != labels[b] for a, b in pairs)
-                close = {(a, b) for a, b in close if labels[a] != labels[b]}
-            assert close <= set(pairs)
+        pairs = [(min(a, b), max(a, b)) for c in _candidate_pairs(starts, ends, tol)
+                 for a, b in zip(*(x.tolist() for x in c))]
+        assert len(pairs) == len(set(pairs)), "a pair came twice"
+        close = {(a, b) for a, b, d in zip(i.tolist(), j.tolist(), dist.tolist()) if d <= tol}
+        assert close <= set(pairs)
 
 
 def _broad_phase_segments(rng, case):

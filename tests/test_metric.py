@@ -221,6 +221,24 @@ def test_chain_distance_snap_rejects_faraway_points():
         chain_distance(cloud, [0.0, 0.5], [1.0, 0.0], 1e-2)
 
 
+def test_chain_distance_refuses_an_epsilon_whose_hops_could_overflow():
+    # the hop of 2e154 is below epsilon, but its square overflows, so a graph
+    # at this epsilon would drop it and read the points as disconnected
+    cloud = PointCloud(np.array([[0.0, 0.0], [2e154, 0.0]]), 1e153)
+    with pytest.raises(ValueError, match="above 2\\*\\*510"):
+        chain_distance(cloud, (0.0, 0.0), (2e154, 0.0), 1e155)
+    assert chain_distance(cloud, (0.0, 0.0), (2e154, 0.0), 2.0 ** 510) == np.inf
+    near = PointCloud(np.array([[0.0, 0.0], [2e152, 0.0]]), 1e152)
+    assert chain_distance(near, (0.0, 0.0), (2e152, 0.0), 2.0 ** 510) == 2e152
+
+
+def test_nearest_samples_refuses_a_gap_whose_square_overflows():
+    samples = np.array([[1e200, 0.0], [2e200, 0.0]])
+    assert metric.nearest_samples(samples, np.array([[2e200, 1.0]]))[0].tolist() == [1.0]
+    with pytest.raises(ValueError, match="overflows"):
+        metric.nearest_samples(samples, np.zeros((1, 2)))
+
+
 @pytest.mark.filterwarnings("ignore:epsilon")
 def test_chain_distance_matches_bruteforce_on_random_clouds():
     rng = np.random.default_rng(20240818)

@@ -3,11 +3,13 @@
 
 The runs are ``build zigzag --n 7`` and ``build P --n-max 7``, the largest
 lines perfbench's ``zigzag_simple`` builds; the README's commands; the ten
-runs of acceptance criterion 10 (read from ``tests/_cli_runs.py``); and the
+runs of acceptance criterion 10 (read from ``tests/_cli_runs.py``); the
 certificates of perfbench's ``certify_suite`` (read from the
 ``CERTIFICATES`` table of ``perfbench/workloads.py``, the seeded ones at
-seeds 0, 1 and 2). Each is ``python -m ifscert.cli`` in a fresh process.
-This script writes the function-system files the runs read.
+seeds 0, 1 and 2); and the refusals of numbers past the float range that
+the README names, each of which must exit 2. Each is
+``python -m ifscert.cli`` in a fresh process. This script writes the
+function-system and model files the runs read.
 
 Each group of runs works in its own subdirectory of OUTDIR, on relative
 paths, so no output names the directory. The group's ``log.txt`` holds
@@ -57,9 +59,33 @@ BUILDER_RUNS = [(shlex.split(command), None) for command in [
     "build P --n-max 7 --out P7.model",
 ]]
 
+# numbers past the float range, each refused with exit 2 and one error line
+REFUSAL_FILES = {
+    # a drawing whose padded box overflows
+    "huge.model": "dim 2\npolyline a 2\n-1e308 -1e308\n1e308 1e308\n",
+    # the unit segment against images 1e200 apart, whose gap's square overflows
+    "unit.model": "dim 2\npolyline a 2\n0 0\n1 0\n",
+    "apart.ifs": "dim 2\naffine 0.5 0 0 0.5 0 0\naffine 0.5 0 0 0.5 1e200 0\n",
+    # every image point about 1e200 from every tip of P
+    "far.ifs": "dim 2\nmode weak\naffine 1 0 0 1 1e200 0 attested\n",
+    # two pieces about 1e155 apart, whose gap's square overflows
+    "far.model": "dim 2\npolyline a 2\n0 0\n1e150 0\npolyline b 2\n1e155 0\n1.0000000001e155 0\n"
+                 "marked s 0 0\nmarked t 1e155 0\n",
+}
+REFUSAL_RUNS = [(shlex.split(command), None) for command in [
+    "build zigzag --n 1 --out l1.model",
+    "build P --n-max 3 --out P.model",
+    "chain l1.model p0 1e200,0 --eps0 1e-3 --kmax 0",
+    "attractor halves.ifs --box=0,0,1e308,1e308 --max-iter 2 --out att.model",
+    "plot huge.model --out huge.svg",
+    "certify fixed-set --ifs apart.ifs --model unit.model --delta 1e200 --out apart.cert",
+    "certify p-coverage --ifs far.ifs --model P.model --out far.cert",
+    "chain far.model s t --eps0 1e160 --kmax 2",
+]]
+
 
 def groups():
-    """group -> (function-system files, runs); a run is (argv, file piped to stdin or None)."""
+    """group -> (files to write, runs); a run is (argv, file piped to stdin or None)."""
     sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
     from _cli_runs import CRITERION_10_RUNS, IFS_FILES
     from workloads import CERTIFICATES
@@ -82,6 +108,7 @@ def groups():
         "readme": ({**IFS_FILES, "reparam.ifs": FIXED_TIP}, README_RUNS),
         "criterion10": (IFS_FILES, [(argv, None) for argv in CRITERION_10_RUNS]),
         "certify_suite": ({f"{label}.ifs": text for label, text, *_ in CERTIFICATES}, suite_runs),
+        "refusals": ({**IFS_FILES, **REFUSAL_FILES}, REFUSAL_RUNS),
     }
 
 
