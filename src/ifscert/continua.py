@@ -109,41 +109,54 @@ def _needle_zone_points(delta: float) -> np.ndarray:
         raise ValueError("delta must be positive")
     x_full = min(0.25, math.sqrt(SHORTCUT_PITCHES * delta / (4 * math.pi)))
     x_dense = min(math.sqrt(delta / (2 * math.pi)), x_full)
-    x_tip = min((delta / 4) ** 2, x_dense)
-
-    parts = [np.arange(0.0, x_tip, delta / 2)]
-    if not len(parts[0]):
-        parts[0] = np.array([0.0])
+    if x_dense == 0.0:  # delta / (2 pi) underflowed
+        raise ValueError("needle refinement too fine; raise delta")
+    x_tip = min(min(delta / 4, 0.5) ** 2, x_dense)  # x_dense <= 0.25: the cap only stops overflow
 
     # largest zero crossing at or below x_full; the arc-true zone starts there
     k_lo = max(1, math.ceil(1.0 / (math.pi * x_full)))
     x_start = 1.0 / (math.pi * k_lo)
+    k_hi = max(k_lo, math.floor(1.0 / (math.pi * max(x_dense, x_tip))))
 
+    # bound the points of every part before any is built, in floats so that
+    # no count overflows, and stop as soon as the total passes the cap: the
+    # tip, the grid and the folds, then the dyadic speed bands. Band
+    # (lo, hi) is resampled from m + 1 points at speed at most vmax, so its
+    # arc is at most (hi - lo) vmax = 0.2 delta m, and at pitch 0.8 delta it
+    # keeps at most m / 4 + 2 points
+    total = 1.0 + 2 * x_tip / delta + 2 * max(0.0, x_dense - x_tip) / delta + (k_hi - k_lo)
+    bands = []
+    lo = x_start
+    while lo < 1.0 and total <= _MAX_SAMPLE_POINTS:
+        hi = min(1.0, 2 * lo)
+        vmax = 1.0 + needle_wave_slope_bound(lo)
+        m = (hi - lo) * vmax / (0.2 * delta)
+        bands.append((lo, hi, m))
+        total += m / 4 + 2
+        lo = hi
+    if total > _MAX_SAMPLE_POINTS or any(math.ceil(m) + 1 > _MAX_SAMPLE_POINTS for _, _, m in bands):
+        raise ValueError("needle refinement too fine; raise delta")
+
+    parts = [np.arange(0.0, x_tip, delta / 2)]
+    if not len(parts[0]):
+        parts[0] = np.array([0.0])
     if x_dense > x_tip:
         grid = np.arange(x_tip + delta / 2, x_dense, delta / 2)
         if len(grid):
             ks = np.maximum(1, np.round(1.0 / (math.pi * grid)))
             parts.append(np.unique(1.0 / (math.pi * ks)))
-    k_hi = max(k_lo, math.floor(1.0 / (math.pi * max(x_dense, x_tip))))
     if k_hi > k_lo:
         parts.append(1.0 / (math.pi * np.arange(k_hi, k_lo, -1, dtype=float)))
 
-    # arc-length-paced samples from x_start to 1, in dyadic speed bands
+    # arc-length-paced samples from x_start to 1
     step = 0.8 * delta
-    lo = x_start
-    while lo < 1.0:
-        hi = min(1.0, 2 * lo)
-        vmax = 1.0 + needle_wave_slope_bound(lo)
-        m = int(math.ceil((hi - lo) * vmax / (0.2 * delta)))
-        if m + 1 > _MAX_SAMPLE_POINTS:
-            raise ValueError("needle refinement too fine; raise delta")
-        xs = np.linspace(lo, hi, m + 1)
+    for lo, hi, m in bands:
+        xs = np.linspace(lo, hi, math.ceil(m) + 1)
         ys = needle_wave(xs)
         cum = np.concatenate([[0.0], np.cumsum(np.hypot(np.diff(xs), np.diff(ys)))])
         marks = np.arange(0.0, cum[-1], step)
         band = np.interp(marks, cum, xs)
         parts.append(np.append(band, hi))
-        lo = hi
 
     xs = np.unique(np.concatenate(parts))
     if xs[-1] != 1.0:

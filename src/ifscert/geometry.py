@@ -294,24 +294,24 @@ def _cross_mask_2d(p1, q1, p2, q2):
     return proper | touch
 
 
-def _axis_key(P, Q, axis, reach):
-    """Coordinate intervals along ``axis``, upper ends padded by ``reach``."""
-    lo = np.minimum(P[:, axis], Q[:, axis])
-    hi = np.maximum(P[:, axis], Q[:, axis]) + reach
+def _axis_key(P, Q, reach):
+    """Intervals of the first coordinate, upper ends padded by ``reach``."""
+    lo = np.minimum(P[:, 0], Q[:, 0])
+    hi = np.maximum(P[:, 0], Q[:, 0]) + reach
     return lo, hi, np.zeros(len(P), dtype=bool)
 
 
-def _angle_key(P, Q, centre, reach):
-    """Padded polar-angle intervals about ``centre`` and the wild mask."""
-    ax, ay = P[:, 0] - centre[0], P[:, 1] - centre[1]
-    bx, by = Q[:, 0] - centre[0], Q[:, 1] - centre[1]
+def _angle_key(P, Q, reach):
+    """Padded polar-angle intervals about the origin and the wild mask."""
+    ax, ay = P[:, 0], P[:, 1]
+    bx, by = Q[:, 0], Q[:, 1]
     ta = np.arctan2(ay, ax)
     tb = np.arctan2(by, bx)
     vx, vy = bx - ax, by - ay
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.clip(-(ax * vx + ay * vy) / (vx * vx + vy * vy), 0.0, 1.0)
         d_lo = np.hypot(ax + t * vx, ay + t * vy) - _SLACK * (np.hypot(ax, ay) + np.hypot(bx, by))
-        wild = ~(d_lo > 2 * reach)  # also a segment that the shift collapsed to a point
+        wild = ~(d_lo > 2 * reach)  # also a segment of length 0
         pad = np.arcsin(np.where(wild, 1.0, reach / d_lo)) * (1 + _SLACK) + _SLACK
     lo = np.minimum(ta, tb) - pad
     hi = np.maximum(ta, tb) + pad
@@ -319,44 +319,17 @@ def _angle_key(P, Q, centre, reach):
     return lo, hi, wild
 
 
-def _count_candidates(lo, hi, wild):
-    """Count the pairs a key leaves: overlapping tame intervals, wild x all.
-
-    Returns ``(count, order, counts, wild)``: the tame segments sorted by
-    lower end, and how many later ones in that order each one overlaps.
-    """
-    n = len(lo)
-    tame = np.flatnonzero(~wild)
-    order = tame[np.argsort(lo[tame], kind="stable")]
-    ends = np.searchsorted(lo[order], hi[order], side="right")
-    counts = ends - np.arange(1, len(order) + 1)
-    w = n - len(order)
-    return int(counts.sum()) + w * (n - w) + w * (w - 1) // 2, order, counts, wild
-
-
-def _candidate_count(lo, hi, wild):
-    """The count of :func:`_count_candidates`, from two sorts and no argsort.
-
-    The overlaps sum to ``sum(searchsorted(sort(lo), hi)) - m (m + 1) / 2``
-    over the m tame segments, whatever the order of the upper ends.
-    """
-    tame = ~wild
-    n, m = len(lo), int(np.count_nonzero(tame))
-    ends = np.searchsorted(np.sort(lo[tame]), np.sort(hi[tame]), side="right")
-    return int(ends.sum()) - m * (m + 1) // 2 + (n - m) * m + (n - m) * (n - m - 1) // 2
-
-
 def _candidate_pairs(P, Q, tol):
     """Yield candidate segment pairs ``(i, j)`` in chunks; every pair within ``tol`` is among them.
 
     Each unordered pair of distinct segments comes at most once, in either
-    order. Broad phase: each segment gets an interval under a key,
-    and only pairs whose intervals overlap are candidates. The keys are the
-    coordinates and, in 2-D, the polar angle about the origin and about the
-    bounding-box centre; each key's candidates are counted with two sorts
-    and ``searchsorted`` before any pair is built, and only the first key
-    with the fewest is argsorted and used. The chunks hold about
-    ``_PAIR_CHUNK`` pairs.
+    order. Broad phase: each segment gets an interval under one key, and
+    only pairs whose intervals overlap are candidates. In 2-D the key is
+    the polar angle about the origin, the apex of every wedge that
+    ``build P`` packs a line into, so each segment of a zigzag line spans
+    a sliver of angle; in any other dimension it is the first coordinate.
+    The segments are sorted by lower end and ``searchsorted`` counts the
+    later ones each overlaps; the chunks hold about ``_PAIR_CHUNK`` pairs.
 
     No pair within ``tol`` is left out. Let d be the dimension, M the
     largest coordinate magnitude, u the unit roundoff and
@@ -366,19 +339,19 @@ def _candidate_pairs(P, Q, tol):
     by at most 12uM, and the rounded root of the d-term sum of squares
     loses at most (d/2 + 2)u relative. So a computed distance ``<= tol``
     means a true distance of at most ``tol (1 + (d + 2)u) + 12 sqrt(d) uM``,
-    and in 2-D shifting the coordinates to a centre moves a segment by at
-    most 3uM; ``reach = tol (1 + s) + sM`` covers both in every dimension.
+    which ``reach = tol (1 + s) + sM`` covers in every dimension.
 
     * A coordinate: segments within ``reach`` have projections within
       ``reach``, so each interval's upper end is padded by ``reach``.
-    * Angle about a centre c (2-D): let y on segment i and y' on segment j
-      be within ``reach``, and let d_i > reach be the distance from c to
-      segment i. Seen from c, the disc of radius ``reach`` about y subtends
-      a half-angle ``asin(reach / |y - c|) <= asin(reach / d_i)``, so the
-      direction of y' lies within that angle of segment i's angular span,
-      and inside segment j's. Each span is therefore padded by
+    * Angle about the origin (2-D): let y on segment i and y' on segment j
+      be within ``reach``, and let d_i > reach be the distance from the
+      origin to segment i. Seen from the origin, the disc of radius
+      ``reach`` about y subtends a half-angle
+      ``asin(reach / |y|) <= asin(reach / d_i)``, so the direction of y'
+      lies within that angle of segment i's angular span, and inside
+      segment j's. Each span is therefore padded by
       ``asin(reach / d_lo) (1 + s) + s`` radians, where d_lo is the
-      computed d_i less ``s (|a - c| + |b - c|)``, a lower bound on d_i, and
+      computed d_i less ``s (|a| + |b|)``, a lower bound on d_i, and
       the last s covers ``arctan2``'s few-ulp error. This fails only when
       the short way between the two directions crosses the branch cut at
       +-pi; then segment i's padded span reaches +-pi. So a segment is
@@ -404,17 +377,12 @@ def _candidate_pairs(P, Q, tol):
     over four million random near-collinear pairs), again inside ``reach``.
     """
     n, dim = P.shape
-    endpoints = np.concatenate([P, Q])
     slack = _SLACK * max(1.0, dim / 2)
-    reach = tol * (1 + slack) + slack * float(np.abs(endpoints).max())
-    keys = [_axis_key(P, Q, axis, reach) for axis in range(dim)]
-    if dim == 2:
-        centres = [np.zeros(2), 0.5 * (endpoints.min(axis=0) + endpoints.max(axis=0))]
-        if np.array_equal(centres[0], centres[1]):
-            centres.pop()
-        keys += [_angle_key(P, Q, c, reach) for c in centres]
-    totals = [_candidate_count(*key) for key in keys]
-    _, order, counts, wild = _count_candidates(*keys[totals.index(min(totals))])
+    reach = tol * (1 + slack) + slack * float(max(np.abs(P).max(), np.abs(Q).max()))
+    lo, hi, wild = _angle_key(P, Q, reach) if dim == 2 else _axis_key(P, Q, reach)
+    tame = np.flatnonzero(~wild)
+    order = tame[np.argsort(lo[tame], kind="stable")]
+    counts = np.searchsorted(lo[order], hi[order], side="right") - np.arange(1, len(order) + 1)
 
     cum = np.concatenate([[0], np.cumsum(counts)])
     k = 0
@@ -426,7 +394,7 @@ def _candidate_pairs(P, Q, tol):
         yield order[rep], order[later]
         k = stop
     after = np.ones(n, dtype=bool)
-    for i in np.flatnonzero(wild):  # wild segments come from the 2-D angle keys only
+    for i in np.flatnonzero(wild):  # wild segments come from the 2-D angle key only
         after[i] = False
         near = after | ~wild
         d = Q[i] - P[i]

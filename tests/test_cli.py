@@ -440,8 +440,10 @@ def test_chain_rejects_non_finite_schedule_flags(tmp_path, capfd, flag, value):
     (["attractor", "--box", "0,0,inf,1"], "--box"),
     (["attractor", "--box", "nan,0,1,1"], "--box"),
     (["build", "needle", "--delta", "1e-9"], "needle refinement too fine; raise delta"),
+    (["build", "needle", "--delta", "1e-300"], "needle refinement too fine; raise delta"),
+    (["build", "needle", "--delta", "5e-324"], "needle refinement too fine; raise delta"),
 ], ids=["delta-inf", "delta-nan", "delta-negative", "eps0-nan", "tol-inf", "max-iter-0", "box-inf", "box-nan",
-        "delta-too-fine"])
+        "delta-too-fine", "delta-1e-300", "delta-subnormal"])
 def test_numeric_flags_must_be_finite_and_positive(tmp_path, halves_ifs, capfd, argv, name):
     seg = tmp_path / "seg.model"
     seg.write_text("dim 2\npolyline seg 2\n0 0\n1 0\nmarked a 0 0\n")

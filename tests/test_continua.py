@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ifscert.continua import (
+    _needle_zone_points,
     build_needle,
     build_P,
     build_zigzag_ln,
@@ -132,6 +134,26 @@ def test_needle_refine_points_are_on_curve_and_chained():
         assert gaps.max() < 10 * delta  # no hop may bridge distant folds
         assert np.array_equal(pts[0], [0.0, 0.0])
         assert pts[-1, 0] == 1.0
+
+
+def test_needle_refinement_too_fine_is_refused_before_it_allocates():
+    # the grid and fold lists at this pitch came to 312 MiB, built before
+    # the first speed band refused
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^needle refinement too fine; raise delta$"):
+            _needle_zone_points(1e-14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_needle_refinement_coarser_than_the_curve_is_its_coarsest_sample():
+    # at pitch 2 and above every zone ends at 0.25; (delta / 4) ** 2 overflowed at 1e200
+    coarse = _needle_zone_points(2.0)
+    for delta in (4.0, 1e10, 1e200, 1e308):
+        assert _needle_zone_points(delta).tobytes() == coarse.tobytes()
 
 
 def test_needle_embedding_is_injective_at_sample_resolution():

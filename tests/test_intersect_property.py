@@ -142,7 +142,8 @@ def test_sap_matches_allpairs_on_random_walk_near_misses(seed, n, grid, dim, whi
 @given(SEEDS, st.integers(8, 200), st.booleans(), st.integers(0, 4))
 def test_sap_matches_allpairs_on_rings_open_at_the_branch_cut(seed, k, centred, which):
     # the first and last segments meet across the negative x-axis as seen
-    # from the ring's centre, where the angle key wraps from +pi to -pi
+    # from the ring's centre; centred at the origin, that is where the
+    # broad phase's angle key wraps from +pi to -pi
     rng = np.random.default_rng(seed)
     gap = rng.uniform(1e-6, 0.2)
     theta = np.linspace(-np.pi + gap, np.pi - gap, k)

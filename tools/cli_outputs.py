@@ -6,10 +6,11 @@ lines perfbench's ``zigzag_simple`` builds; the README's commands; the ten
 runs of acceptance criterion 10 (read from ``tests/_cli_runs.py``); the
 certificates of perfbench's ``certify_suite`` (read from the
 ``CERTIFICATES`` table of ``perfbench/workloads.py``, the seeded ones at
-seeds 0, 1 and 2); and the refusals of numbers past the float range that
-the README names, each of which must exit 2. Each is
-``python -m ifscert.cli`` in a fresh process. This script writes the
-function-system and model files the runs read.
+seeds 0, 1 and 2); and the refusals, each of which must exit 2, of
+numbers past the float range that the README names and of needle pitches
+too fine, after the builds they read. Each is ``python -m ifscert.cli``
+in a fresh process. This script writes the function-system and model
+files the runs read.
 
 Each group of runs works in its own subdirectory of OUTDIR, on relative
 paths, so no output names the directory. The group's ``log.txt`` holds
@@ -81,6 +82,11 @@ REFUSAL_RUNS = [(shlex.split(command), None) for command in [
     "certify fixed-set --ifs apart.ifs --model unit.model --delta 1e200 --out apart.cert",
     "certify p-coverage --ifs far.ifs --model P.model --out far.cert",
     "chain far.model s t --eps0 1e160 --kmax 2",
+    # needle pitches too fine, refused before they sample; the chain refines at eps0 / 10
+    "build needle --out needle.model",
+    "build needle --delta 1e-300 --out tiny.model",
+    "build needle --delta 1e-14 --out fine.model",
+    "chain needle.model far h(p) --eps0 1e-13 --kmax 0",
 ]]
 
 
