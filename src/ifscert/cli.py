@@ -188,7 +188,10 @@ def _cmd_certify(args) -> int:
 def _cmd_plot(args) -> int:
     # one open, so that a pipe works: the first line tells a profile CSV from a model
     with open(args.input, "r", encoding="utf-8") as fh:
-        first = fh.readline()
+        try:
+            first = fh.readline()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{args.input}: {exc}") from None
         lines = itertools.chain([first], fh)
         if first.strip() == ",".join(formats.PROFILE_HEADER):
             eps, _, vals = formats.load_profile_csv(args.input, lines)
@@ -207,7 +210,6 @@ def _cmd_plot(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized estimates")
     common.add_argument("--out", default=None, help="output file path")
     common.add_argument("--quiet", action="store_true", help="suppress informational output")
 
@@ -253,6 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--kmax", type=int, default=6, help="number of halvings (dichotomy)")
     p_cert.add_argument("--classify-pairs", type=int, default=20000,
                         help="sample pairs for the contraction check; 0 trusts declared bounds")
+    p_cert.add_argument("--seed", type=int, default=0, help="seed for the sampled pairs (dichotomy)")
     p_cert.add_argument("--map-index", type=int, default=0,
                         help="which map of the file the dichotomy tests")
     p_cert.set_defaults(func=_cmd_certify)

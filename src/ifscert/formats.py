@@ -31,7 +31,7 @@ import numpy as np
 
 # modules, not names, so that scipy loads on first use (``ifs_text`` has a parameter ``ifs``)
 from . import _numtext, certify, continua, ifs as ifs_mod, metric
-from .geometry import ContinuumModel, PointCloud, Polyline
+from .geometry import ContinuumModel, PointCloud, Polyline, marked_point, positive_pitch
 
 
 def _fmt(x: float) -> str:
@@ -94,6 +94,14 @@ def model_text(model: ContinuumModel | PointCloud) -> str:
 
 def save_model(model: ContinuumModel | PointCloud, path: str) -> None:
     atomic_write(path, model_text(model))
+
+
+def _built(where: str, build, *args, **kw):
+    """``build(*args, **kw)``, its ``ValueError`` prefixed with ``where``."""
+    try:
+        return build(*args, **kw)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _number(text: str, where: str, kind=float, least=None):
@@ -176,9 +184,14 @@ def _read_vertices(fh, start: int, count: int, dim: int, path: str, size: int | 
 
 
 def _read_model_records(fh, path: str, size: int | None):
-    """The records of a model file, read from the lines of ``fh``."""
+    """The records of a model file, read from the lines of ``fh``.
+
+    Each polyline and marked point is checked at its line. ``wheres`` holds
+    the ``path:line`` of the last ``dim`` and ``meta pitch`` records.
+    """
     dim = None
     meta: dict[str, str] = {}
+    wheres: dict[str, str] = {}
     pieces: list[Polyline] = []
     point_blocks: list[np.ndarray] = []
     marked: dict[str, np.ndarray] = {}
@@ -195,10 +208,13 @@ def _read_model_records(fh, path: str, size: int | None):
             if len(parts) < 2:
                 raise ValueError(f"{where}: dim needs a value")
             dim = _number(parts[1], where, int, least=1)
+            wheres["dim"] = where
         elif tag == "meta":
             if len(parts) < 3:
                 raise ValueError(f"{where}: meta needs a key and a value")
             meta[parts[1]] = parts[2]
+            if parts[1] == "pitch":
+                wheres["pitch"] = where
         elif tag in ("polyline", "points"):
             if dim is None:
                 raise ValueError(f"{where}: dim header must come first")
@@ -209,7 +225,7 @@ def _read_model_records(fh, path: str, size: int | None):
             closed = len(rest) > 1 and rest[1] == "closed"
             rows = _read_vertices(fh, i, count, dim, path, size)
             if tag == "polyline":
-                pieces.append(Polyline(rows, closed=closed, name=name))
+                pieces.append(_built(where, Polyline, rows, closed=closed, name=name))
             else:
                 point_blocks.append(rows)
             i += count
@@ -217,10 +233,10 @@ def _read_model_records(fh, path: str, size: int | None):
             coords = parts[2].split() if len(parts) == 3 else []
             if dim is None or len(coords) != dim:
                 raise ValueError(f"{where}: marked point needs {dim} coordinates")
-            marked[parts[1]] = np.array([_number(c, where) for c in coords])
+            marked[parts[1]] = _built(where, marked_point, parts[1], [_number(c, where) for c in coords])
         else:
             raise ValueError(f"{where}: unknown record {tag!r}")
-    return dim, meta, pieces, point_blocks, marked
+    return dim, meta, pieces, point_blocks, marked, wheres
 
 
 def load_model(path: str, lines=None) -> ContinuumModel | PointCloud:
@@ -231,20 +247,26 @@ def load_model(path: str, lines=None) -> ContinuumModel | PointCloud:
     follows the curve rather than subdividing stored chords. ``lines``, when
     given, iterates the lines of ``path`` opened by the caller, so that a
     pipe is read once.
+
+    A record that breaks a rule of its own names its line. Pieces or marked
+    points of another dimension than the model's name the last ``dim``
+    record, which sets that dimension.
     """
     with open(path, "r", encoding="utf-8") if lines is None else nullcontext(lines) as fh:
         st = os.stat(path)
         size = st.st_size if stat.S_ISREG(st.st_mode) else None
         try:
-            dim, meta, pieces, point_blocks, marked = _read_model_records(fh, path, size)
-        except UnicodeDecodeError:
-            raise
-        except ValueError:
-            # a byte that is not UTF-8 anywhere in the file takes precedence
-            # over a parse error, as if the file had been decoded whole
-            for _ in fh:
-                pass
-            raise
+            try:
+                dim, meta, pieces, point_blocks, marked, wheres = _read_model_records(fh, path, size)
+            except ValueError as exc:
+                # a byte that is not UTF-8 anywhere in the file takes precedence
+                # over a parse error, as if the file had been decoded whole
+                if not isinstance(exc, UnicodeDecodeError):
+                    for _ in fh:
+                        pass
+                raise
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if dim is None:
         raise ValueError(f"{path}: missing dim header")
     if point_blocks and pieces:
@@ -253,13 +275,14 @@ def load_model(path: str, lines=None) -> ContinuumModel | PointCloud:
         pitch = _number(meta.get("pitch", "0"), f"{path}: meta pitch") or None
         if pitch is None:
             raise ValueError(f"{path}: point files need a 'meta pitch' record")
-        points = point_blocks[0] if len(point_blocks) == 1 else np.vstack(point_blocks)
-        return PointCloud(points, pitch)
+        _built(wheres["pitch"], positive_pitch, pitch)
+        points = point_blocks[0] if len(point_blocks) == 1 else _built(wheres["dim"], np.vstack, point_blocks)
+        return _built(path, PointCloud, points, pitch)
     if not pieces:
         raise ValueError(f"{path}: no polyline or points sections")
     needle = meta.get("kind") == "needle" and meta.get("base") == "default"
     sampler = continua.sample_needle if needle else None
-    return ContinuumModel(tuple(pieces), marked, dim, sampler=sampler, meta=meta)
+    return _built(wheres["dim"], ContinuumModel, tuple(pieces), marked, dim, sampler=sampler, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +290,7 @@ def load_model(path: str, lines=None) -> ContinuumModel | PointCloud:
 
 
 def _map_flags(spec: ifs_mod.MapSpec) -> str:
-    """The ``lip=``/``attested`` suffix of a map line or an ``end`` line.
-
-    A line keeps a map's bound but not the region it holds on. Reading the
-    line back gives a squeeze the canonical box and any other map no region,
-    so a map with another region is refused: its bound would come back
-    claimed on a larger domain.
-    """
-    if spec.kind == ifs_mod.KIND_SQUEEZE:
-        kept = np.array_equal(spec.region, ifs_mod.squeeze_box(spec.dimension))
-    else:
-        kept = spec.region is None
-    if not kept:
-        raise ValueError(
-            f"cannot save a {spec.kind} map with region {spec.region.tolist()}: "
-            "function-system files keep no region"
-        )
+    """The ``lip=``/``attested`` suffix of a map line or an ``end`` line."""
     flags = "" if spec.lip_bound is None else f" lip={_fmt(spec.lip_bound)}"
     return flags + (" attested" if spec.weak_attested else "")
 
@@ -341,9 +349,7 @@ def _map_spec(where: str, *args, **kw) -> ifs_mod.MapSpec:
     memory is a bad file too.
     """
     try:
-        return ifs_mod.MapSpec(*args, **kw)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        return _built(where, ifs_mod.MapSpec, *args, **kw)
     except MemoryError as exc:
         raise ValueError(f"{where}: out of memory building the map ({exc})") from None
 
@@ -378,11 +384,18 @@ def _parse_map_tokens(tokens: list[str], dim: int, where: str) -> ifs_mod.MapSpe
 
 
 def load_ifs(path: str) -> ifs_mod.IfsSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Read a function-system file; a map that breaks the system's rules names its line.
+
+    ``dim`` and ``mode`` hold for the whole file, wherever they stand.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     dim = 2
     mode = "strict"
-    maps: list[ifs_mod.MapSpec] = []
+    maps: list[tuple[ifs_mod.MapSpec, str]] = []  # each map and the line that completes it
     block: list[ifs_mod.MapSpec] | None = None
     for i, raw in enumerate(lines):
         line = raw.split("#", 1)[0].strip()
@@ -406,20 +419,22 @@ def load_ifs(path: str) -> ifs_mod.IfsSpec:
             if block is None:
                 raise ValueError(f"{where}: end without begin")
             lip, attested = _pop_map_flags(tokens, where)
-            maps.append(_map_spec(where, ifs_mod.KIND_COMPOSITION, dim, parts=tuple(block),
-                                  lip_bound=lip, weak_attested=attested))
+            maps.append((_map_spec(where, ifs_mod.KIND_COMPOSITION, dim, parts=tuple(block),
+                                   lip_bound=lip, weak_attested=attested), where))
             block = None
         else:
             spec = _parse_map_tokens(tokens, dim, where)
             if block is not None:
                 block.append(spec)
             else:
-                maps.append(spec)
+                maps.append((spec, where))
     if block is not None:
         raise ValueError(f"{path}: unterminated begin block")
     if not maps:
         raise ValueError(f"{path}: no maps")
-    return ifs_mod.IfsSpec(tuple(maps), mode=mode, dimension=dim)
+    for spec, where in maps:
+        _built(where, ifs_mod.check_map, spec, mode, dim)
+    return ifs_mod.IfsSpec(tuple(spec for spec, _ in maps), mode=mode, dimension=dim)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +482,8 @@ def load_profile_csv(path: str, lines=None):
                 vals.append(math.inf if row[2] == "" else _number(row[2], where, least=0))
         except csv.Error as exc:  # a field past the csv module's size limit, say
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return np.array(eps), np.array(pitch), np.array(vals)
 
 

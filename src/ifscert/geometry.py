@@ -39,6 +39,19 @@ def as_point(coords, dimension: int | None = None) -> Point:
     return p
 
 
+def marked_point(label: str, coords, dimension: int | None = None) -> Point:
+    """``coords`` as the point of a marked ``label``, which must be ASCII without spaces."""
+    if not label.isascii() or any(c.isspace() for c in label):
+        raise ValueError(f"marked label {label!r} must be ASCII without spaces")
+    return as_point(coords, dimension)
+
+
+def positive_pitch(pitch: float) -> None:
+    """Refuse a sampling pitch that is not positive."""
+    if not pitch > 0:
+        raise ValueError("pitch must be positive")
+
+
 @dataclass(frozen=True)
 class Polyline:
     """Open or closed broken line with pairwise distinct consecutive vertices."""
@@ -90,8 +103,7 @@ class PointCloud:
             raise ValueError("a point cloud must be a nonempty (N, dim) array")
         if not np.all(np.isfinite(p)):
             raise ValueError("cloud coordinates must be finite")
-        if not (self.pitch > 0):
-            raise ValueError("pitch must be positive")
+        positive_pitch(self.pitch)
         p.setflags(write=False)
         object.__setattr__(self, "points", p)
 
@@ -125,10 +137,7 @@ class ContinuumModel:
         for piece in self.pieces:
             if piece.dimension != self.dimension:
                 raise ValueError("piece dimension mismatch")
-        marked = {k: as_point(v, self.dimension) for k, v in self.marked.items()}
-        for label in marked:
-            if not label.isascii() or any(c.isspace() for c in label):
-                raise ValueError(f"marked label {label!r} must be ASCII without spaces")
+        marked = {k: marked_point(k, v, self.dimension) for k, v in self.marked.items()}
         object.__setattr__(self, "marked", marked)
 
     def refine(self, delta: float) -> PointCloud:

@@ -35,7 +35,7 @@ _INT_KEY_LIMIT = 4e15
 
 
 def squeeze_box(dim: int) -> np.ndarray:
-    """The canonical box ``[0, 1] x [-1, 1]^(dim - 1)``, a squeeze map's default region."""
+    """The canonical box ``[0, 1] x [-1, 1]^(dim - 1)``, the domain of a squeeze map."""
     return np.vstack([np.r_[0.0, np.full(dim - 1, -1.0)], np.ones(dim)])
 
 
@@ -45,17 +45,17 @@ class MapSpec:
 
     Construction checks and completes every spec, from code or from a file:
     ``affine`` needs a finite ``(dim, dim)`` matrix and ``(dim,)`` offset;
-    ``needle_h1`` (squeeze) needs ``0 < sharpness < inf``, and its region
-    defaults to the canonical box ``[0, 1] x [-1, 1]^(dim - 1)``;
-    ``needle_h2`` (ripple) needs ``dim >= 2``; ``closed_form`` needs a
-    registered form, its number of params and ``dim == 2``; a
-    ``composition`` needs parts, all of dimension ``dim``, applied
-    first-listed-first.
+    ``needle_h1`` (squeeze) needs ``0 < sharpness < inf`` and acts on
+    :func:`squeeze_box`; ``needle_h2`` (ripple) needs ``dim >= 2``;
+    ``closed_form`` needs a registered form, its number of params and
+    ``dim == 2``; a ``composition`` needs parts, all of dimension ``dim``,
+    applied first-listed-first.
 
-    ``lip_bound`` is a Lipschitz bound on ``region`` (a ``(2, dim)`` box), or
-    globally when no region is given. A declared bound stays as given; else
-    it is :func:`certified_lipschitz` on ``region``, else for a composition
-    the product of its parts' bounds when all have one, else None.
+    ``lip_bound`` is a Lipschitz bound on the squeeze box for a squeeze and
+    globally for any other map. A declared bound stays as given; else it is
+    :func:`certified_lipschitz` (on the squeeze box for a squeeze), else for
+    a composition the product of its parts' bounds when all have one, else
+    None.
     """
 
     kind: str
@@ -67,7 +67,6 @@ class MapSpec:
     form: str = ""
     params: tuple[float, ...] = ()
     lip_bound: float | None = None
-    region: np.ndarray | None = None
     weak_attested: bool = False
 
     def __post_init__(self):
@@ -92,8 +91,6 @@ class MapSpec:
         elif self.kind == KIND_SQUEEZE:
             if not 0 < self.sharpness < math.inf:
                 raise ValueError("needle_h1 sharpness must be finite and positive")
-            if self.region is None:
-                object.__setattr__(self, "region", squeeze_box(dim))
         elif self.kind == KIND_RIPPLE:
             if dim < 2:
                 raise ValueError("needle_h2 needs dimension at least 2")
@@ -111,14 +108,8 @@ class MapSpec:
                 raise ValueError("empty composition: a composition needs at least one part")
             if any(p.dimension != dim for p in self.parts):
                 raise ValueError(f"every part of a composition needs dimension {dim}")
-        if self.region is not None:
-            r = np.asarray(self.region, dtype=float)
-            if r.shape != (2, dim) or np.any(r[0] > r[1]):
-                raise ValueError("region must be a (2, dim) box with lo <= hi")
-            r.setflags(write=False)
-            object.__setattr__(self, "region", r)
         if self.lip_bound is None:
-            lip = certified_lipschitz(self, self.region)
+            lip = certified_lipschitz(self, squeeze_box(dim) if self.kind == KIND_SQUEEZE else None)
             part_lips = [p.lip_bound for p in self.parts]
             if lip is None and self.kind == KIND_COMPOSITION and None not in part_lips:
                 lip = float(np.prod(part_lips))
@@ -155,9 +146,9 @@ def eval_map(spec: MapSpec, points) -> np.ndarray:
     single = np.asarray(points).ndim == 1
     if pts.shape[1] != spec.dimension:
         raise ValueError(f"points have dimension {pts.shape[1]}, map expects {spec.dimension}")
-    if spec.region is not None:
-        slack = 1e-9 * max(1.0, float(np.abs(spec.region).max()))
-        if np.any(pts < spec.region[0] - slack) or np.any(pts > spec.region[1] + slack):
+    if spec.kind == KIND_SQUEEZE:
+        box = squeeze_box(spec.dimension)
+        if np.any(pts < box[0] - 1e-9) or np.any(pts > box[1] + 1e-9):
             raise ValueError("points leave the map's declared region")
     if spec.kind == KIND_AFFINE:
         out = pts @ spec.matrix.T + spec.offset
@@ -325,6 +316,17 @@ def classify_contraction(spec: MapSpec, cloud: PointCloud, pairs: int = 20000,
     return ContractionVerdict("weak_candidate", max_ratio)
 
 
+def check_map(spec: MapSpec, mode: str, dimension: int) -> None:
+    """Refuse ``spec`` as a map of a ``mode`` system in ``dimension``."""
+    if spec.dimension != dimension:
+        raise ValueError("map dimension mismatch")
+    if mode == MODE_STRICT:
+        if spec.lip_bound is None or not spec.lip_bound < 1:
+            raise ValueError("strict mode requires every map to carry a Lipschitz bound below one")
+    elif not ((spec.lip_bound is not None and spec.lip_bound <= 1) or spec.weak_attested):
+        raise ValueError("weak mode requires lip_bound <= 1 or an explicit attestation")
+
+
 @dataclass(frozen=True)
 class IfsSpec:
     """A finite family of map specs with a declared contraction mode."""
@@ -341,21 +343,7 @@ class IfsSpec:
         if self.mode not in (MODE_STRICT, MODE_WEAK):
             raise ValueError("mode must be strict or weak")
         for m in self.maps:
-            if m.dimension != self.dimension:
-                raise ValueError("map dimension mismatch")
-        if self.mode == MODE_STRICT:
-            for m in self.maps:
-                if m.lip_bound is None or not m.lip_bound < 1:
-                    raise ValueError(
-                        "strict mode requires every map to carry a Lipschitz bound below one"
-                    )
-        else:
-            for m in self.maps:
-                ok = (m.lip_bound is not None and m.lip_bound <= 1) or m.weak_attested
-                if not ok:
-                    raise ValueError(
-                        "weak mode requires lip_bound <= 1 or an explicit attestation"
-                    )
+            check_map(m, self.mode, self.dimension)
 
     @property
     def contraction_factor(self) -> float | None:

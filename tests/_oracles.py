@@ -354,10 +354,19 @@ def load_model_per_line(path: str):
     """Read a model file whole, then parse it one line and one float at a time."""
     from ifscert import continua
     from ifscert.formats import _number
-    from ifscert.geometry import ContinuumModel, PointCloud, Polyline
+    from ifscert.geometry import ContinuumModel, PointCloud, Polyline, marked_point, positive_pitch
 
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    def at(where, build, *args, **kw):
+        try:
+            return build(*args, **kw)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
     def vertices(start, count, dim):
         rows = np.empty((count, dim))
@@ -374,7 +383,7 @@ def load_model_per_line(path: str):
                 raise ValueError(f"{path}:{idx + 1}: bad coordinate in {lines[idx]!r}") from None
         return rows
 
-    dim = None
+    dim = dim_where = pitch_where = None
     meta, pieces, point_blocks, marked = {}, [], [], {}
     i = 0
     while i < len(lines):
@@ -388,11 +397,13 @@ def load_model_per_line(path: str):
         if tag == "dim":
             if len(parts) < 2:
                 raise ValueError(f"{where}: dim needs a value")
-            dim = _number(parts[1], where, int, least=1)
+            dim, dim_where = _number(parts[1], where, int, least=1), where
         elif tag == "meta":
             if len(parts) < 3:
                 raise ValueError(f"{where}: meta needs a key and a value")
             meta[parts[1]] = parts[2]
+            if parts[1] == "pitch":
+                pitch_where = where
         elif tag in ("polyline", "points"):
             if dim is None:
                 raise ValueError(f"{where}: dim header must come first")
@@ -403,7 +414,7 @@ def load_model_per_line(path: str):
             closed = len(rest) > 1 and rest[1] == "closed"
             rows = vertices(i + 1, count, dim)
             if tag == "polyline":
-                pieces.append(Polyline(rows, closed=closed, name=name))
+                pieces.append(at(where, Polyline, rows, closed=closed, name=name))
             else:
                 point_blocks.append(rows)
             i += count
@@ -411,7 +422,7 @@ def load_model_per_line(path: str):
             coords = parts[2].split() if len(parts) == 3 else []
             if dim is None or len(coords) != dim:
                 raise ValueError(f"{where}: marked point needs {dim} coordinates")
-            marked[parts[1]] = np.array([_number(c, where) for c in coords])
+            marked[parts[1]] = at(where, marked_point, parts[1], [_number(c, where) for c in coords])
         else:
             raise ValueError(f"{where}: unknown record {tag!r}")
         i += 1
@@ -423,9 +434,10 @@ def load_model_per_line(path: str):
         pitch = _number(meta.get("pitch", "0"), f"{path}: meta pitch") or None
         if pitch is None:
             raise ValueError(f"{path}: point files need a 'meta pitch' record")
-        return PointCloud(np.vstack(point_blocks), pitch)
+        at(pitch_where, positive_pitch, pitch)
+        return at(path, PointCloud, at(dim_where, np.vstack, point_blocks), pitch)
     if not pieces:
         raise ValueError(f"{path}: no polyline or points sections")
     needle = meta.get("kind") == "needle" and meta.get("base") == "default"
     sampler = continua.sample_needle if needle else None
-    return ContinuumModel(tuple(pieces), marked, dim, sampler=sampler, meta=meta)
+    return at(dim_where, ContinuumModel, tuple(pieces), marked, dim, sampler=sampler, meta=meta)

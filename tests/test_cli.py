@@ -257,21 +257,9 @@ def test_cli_import_loads_no_url_or_tls_modules(tmp_path):
 
 
 def test_public_names_resolve_to_their_home_modules():
+    # the lazy modules are the package's attributes from the start
     for name in ("metric", "ifs", "certify"):
         assert getattr(ifscert, name) is sys.modules[f"ifscert.{name}"]
-    for name in ifscert.__all__:
-        scope = {}
-        exec(f"from ifscert import {name}", scope)
-        obj = scope[name]
-        if isinstance(obj, type(ifscert)):
-            assert obj is sys.modules[f"ifscert.{name}"]
-        else:
-            assert obj.__module__.startswith("ifscert.")
-            assert getattr(sys.modules[obj.__module__], name) is obj
-    with pytest.raises(AttributeError):
-        getattr(ifscert, "no_such_name")
-    with pytest.raises(ImportError):
-        exec("from ifscert import no_such_name", {})
 
 
 def test_svg_escape_matches_saxutils():
@@ -364,6 +352,19 @@ def test_usage_and_input_errors(tmp_path, capsys):
     rc = run("chain", str(garbage), "a", "b")
     assert rc == 2
     assert "unknown record" in capsys.readouterr().err
+    # only certify reads --seed; elsewhere it is a usage error
+    for argv in (["build", "zigzag", "--n", "1", "--out", str(tmp_path / "l1.model")],
+                 ["chain", str(garbage), "a", "b"], ["plot", str(garbage), "--out", str(tmp_path / "g.svg")]):
+        assert run(*argv, "--seed", "7") == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not (tmp_path / "l1.model").exists()
+
+
+def test_plot_names_the_file_of_a_first_line_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(b"dim \xff2\n")
+    assert run("plot", str(bad), "--out", str(tmp_path / "bad.svg")) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_quiet_silences_informational_output(tmp_path, capsys):
@@ -381,6 +382,9 @@ def test_quiet_silences_informational_output(tmp_path, capsys):
 MALFORMED_INPUTS = {
     "nodim.model": "dim\npolyline a 2\n0 0\n1 0\n",
     "nocount.model": "dim 2\npolyline a\n0 0\n1 0\n",
+    "repeat.model": "dim 2\npolyline a 2\n0 0\n0 0\n",
+    "pitch.model": "dim 2\nmeta pitch -1\npoints c 1\n0 0\n",
+    "strict.ifs": "dim 2\naffine 1 0 0 1 0 0\n",
     "nomode.ifs": "dim 2\nmode\naffine 0.5 0 0 0.5 0 0\n",
     "nope.ifs": "dim 2\nclosed_form nope 1\n",
     "lipneg.ifs": "dim 2\nclosed_form needle_param_scale 0.5 lip=-1\n",

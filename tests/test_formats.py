@@ -90,6 +90,26 @@ def test_model_loader_rejects_malformed_files(tmp_path):
         p.write_text(text)
         with pytest.raises(ValueError, match=needle_text):
             load_model(str(p))
+    # the geometry types' own checks name the record at fault, a dimension
+    # that does not fit the last dim record, or the file when no line is at fault
+    anchored = {
+        "repeat.model": ("dim 2\npolyline a 2\n0 0\n0 0\n", 2, "consecutive polyline vertices must be distinct"),
+        "ring.model": ("dim 2\npolyline a 3 closed\n0 0\n1 0\n0 0\n", 2, "closed polylines must not repeat"),
+        "redim.model": ("dim 2\npolyline a 2\n0 0\n1 0\ndim 3\npolyline b 2\n0 0 0\n1 1 1\n", 5,
+                        "piece dimension mismatch"),
+        "redim_marked.model": ("dim 2\nmarked a 0 0\ndim 3\npolyline b 2\n0 0 0\n1 1 1\n", 3,
+                               "expected dimension 3, got 2"),
+        "label.model": ("dim 2\npolyline a 2\n0 0\n1 0\nmarked \u00e9 0 0\n", 5, "marked label 'é' must be ASCII"),
+        "nan_marked.model": ("dim 2\npolyline a 2\n0 0\n1 0\nmarked a nan 0\n", 5, "point coordinates must be finite"),
+        "pitch.model": ("dim 2\nmeta pitch -1\npoints c 1\n0 0\n", 2, "pitch must be positive"),
+        "nan_cloud.model": ("dim 2\nmeta pitch 1\npoints c 1\nnan 0\n", None, "cloud coordinates must be finite"),
+    }
+    for name, (text, line, message) in anchored.items():
+        p = tmp_path / name
+        p.write_text(text, encoding="utf-8")
+        where = str(p) if line is None else f"{p}:{line}"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}: {message}"):
+            load_model(str(p))
 
 
 def test_ifs_roundtrip_all_map_kinds(tmp_path):
@@ -115,32 +135,6 @@ def test_ifs_roundtrip_all_map_kinds(tmp_path):
     assert [m.kind for m in back.maps] == [m.kind for m in ifs.maps]
     assert back.maps[1].weak_attested and back.maps[2].weak_attested
     assert [p.kind for p in back.maps[1].parts] == ["needle_h1", "needle_h2"]
-
-
-@pytest.mark.parametrize("spec", [
-    # a bound of 4.54 holds only for x1 >= 0.5; near x1 = 1e-4 the ripple
-    # stretches 9.4e5 times
-    ripple_map(region=[[0.5, -1], [1, 1]], weak_attested=True),
-    # a bound of 1.000001 on the small box, below the canonical box's
-    squeeze_map(100.0, region=[[0, -0.1], [0.1, 0.1]], weak_attested=True),
-    composed_map(squeeze_map(100.0), ripple_map(), region=[[0.5, -1], [1, 1]],
-                 weak_attested=True),
-], ids=["ripple", "squeeze", "composition"])
-def test_save_ifs_refuses_a_region_the_file_cannot_keep(tmp_path, spec):
-    path = tmp_path / "maps.ifs"
-    with pytest.raises(ValueError, match=f"cannot save a {spec.kind} map with region .*keep no region"):
-        save_ifs(IfsSpec((spec,), mode="weak"), str(path))
-    assert not path.exists()
-
-
-def test_save_ifs_keeps_the_regions_a_reload_rebuilds(tmp_path):
-    path = str(tmp_path / "maps.ifs")
-    squeeze = squeeze_map(100.0, region=[[0, -1], [1, 1]], weak_attested=True)
-    save_ifs(IfsSpec((squeeze, ripple_map(weak_attested=True)), mode="weak"), path)
-    back = load_ifs(path)
-    assert np.array_equal(back.maps[0].region, squeeze.region)
-    assert back.maps[0].lip_bound == squeeze.lip_bound
-    assert back.maps[1].region is None
 
 
 def test_ifs_loader_fills_affine_bounds_and_reads_comments(tmp_path):
@@ -201,6 +195,22 @@ def test_ifs_loader_rejects_malformed_files(tmp_path):
         p = tmp_path / name
         p.write_text(text)
         with pytest.raises(ValueError, match=msg):
+            load_ifs(str(p))
+    # the system's rules name the line of the first map at fault, with the
+    # file's dim and mode wherever they stand; a composition is at its end line
+    anchored = {
+        "strict.ifs": ("dim 2\naffine 1 0 0 1 0 0\n", 2,
+                       "strict mode requires every map to carry a Lipschitz bound below one"),
+        "weak.ifs": ("dim 2\nmode weak\naffine 2 0 0 2 0 0\n", 3,
+                     "weak mode requires lip_bound <= 1 or an explicit attestation"),
+        "redim.ifs": ("affine 0.5 0 0 0.5 0 0\ndim 1\n", 1, "map dimension mismatch"),
+        "late_mode.ifs": ("affine 0.5 0 0 0.5 0 0\nbegin\nneedle_h1 100\nneedle_h2\nend\nmode weak\n", 5,
+                          "weak mode requires"),
+    }
+    for name, (text, line, msg) in anchored.items():
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: {msg}"):
             load_ifs(str(p))
 
 
@@ -284,6 +294,14 @@ def test_load_ifs_names_the_line_of_a_map_too_large_for_memory(tmp_path):
     p.write_text("dim 1000000000000000\nneedle_h1 100\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: out of memory building the map"):
         load_ifs(str(p))
+
+
+@pytest.mark.parametrize("read", [load_ifs, load_profile_csv, load_model])
+def test_readers_name_the_file_of_a_byte_that_is_not_utf8(tmp_path, read):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"dim 2\n\xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: 'utf-8' codec can't decode byte 0xff"):
+        read(str(p))
 
 
 def test_certificate_text_parses_back():

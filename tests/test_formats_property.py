@@ -143,7 +143,7 @@ def test_the_first_bad_byte_is_the_error_past_the_first_read(tmp_path, head):
     path = tmp_path / "late.model"
     path.write_bytes(b"dim 2\npolyline a 2\n" + head + b"# pad\n" * 4000 + b"\xff\n" + b"# pad\n" * 4001 + b"\xff\n")
     got, want = _outcome(load_model, str(path)), _outcome(load_model_per_line, str(path))
-    assert got == want and want[1] == "UnicodeDecodeError"
+    assert got == want and "'utf-8' codec can't decode byte 0xff" in want[2]
 
 
 @st.composite

@@ -48,9 +48,6 @@ def test_map_spec_validation():
         MapSpec("affine", 2, matrix=np.eye(3), offset=np.zeros(2))
     with pytest.raises(ValueError, match="closed form"):
         MapSpec("closed_form", 2, form="does_not_exist")
-    with pytest.raises(ValueError, match="region"):
-        MapSpec("affine", 2, matrix=np.eye(2), offset=np.zeros(2),
-                region=np.array([[1.0, 1.0], [0.0, 0.0]]))
     # every rule holds however the map is built
     for sharpness in (-5.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="sharpness"):
@@ -90,10 +87,14 @@ def test_affine_map_evaluates_and_carries_spectral_bound():
 
 
 def test_eval_map_enforces_declared_region():
-    f = affine_map([[0.5]], [0.0], region=np.array([[0.0], [1.0]]))
-    eval_map(f, np.array([[1.0]]))
-    with pytest.raises(ValueError, match="region"):
-        eval_map(f, np.array([[2.0]]))
+    # a squeeze acts on [0, 1] x [-1, 1], up to a slack of 1e-9
+    f = squeeze_map(100.0)
+    eval_map(f, np.array([[1.0, -1.0], [1.0 + 5e-10, 1.0]]))
+    for outside in ([2.0, 0.0], [-0.1, 0.0], [0.5, 1.1], [0.5, -1.0 - 1e-8]):
+        with pytest.raises(ValueError, match="points leave the map's declared region"):
+            eval_map(f, np.array([outside]))
+    # no other kind checks a domain
+    assert eval_map(affine_map([[0.5]], [0.0]), np.array([[2.0]]))[0, 0] == 1.0
 
 
 def test_closed_forms_stay_on_the_curve():
@@ -176,8 +177,8 @@ def test_certified_lipschitz_dominates_samples():
     gx, gy = np.meshgrid(0.05 + 1e-4 * np.arange(100), 1e-4 * np.arange(-20, 21))
     strip = np.column_stack([gx.ravel(), gy.ravel()])
     cloud = PointCloud(np.vstack([rng.uniform(box[0], box[1], size=(20000, 2)), strip]), 0.01)
-    for f, reached in ((squeeze_map(100.0, region=box), 1.0), (ripple_map(region=box), 81.0),
-                       (composed_map(squeeze_map(100.0), ripple_map(), region=box), 81.0)):
+    for f, reached in ((squeeze_map(100.0), 1.0), (ripple_map(), 81.0),
+                       (composed_map(squeeze_map(100.0), ripple_map()), 81.0)):
         bound = certified_lipschitz(f, box)
         assert bound is not None
         ratio = classify_contraction(f, cloud, pairs=20000, seed=1).max_ratio

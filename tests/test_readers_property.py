@@ -6,7 +6,8 @@ a character inserted or a span deleted, a run of digits longer than the
 ``csv`` module's field limit, a line dropped, repeated or moved, the end
 cut off, or a byte that is not UTF-8. ``load_ifs``,
 ``load_profile_csv`` and ``parse_certificate`` may then return or raise
-``ValueError``, nothing else. The commands that read those files,
+``ValueError``, nothing else, and a refusal by one of the two file readers
+begins with the file's path. The commands that read those files,
 ``attractor`` and ``certify`` (function systems), ``plot`` (profiles) and
 all three on certificates, may only exit 0, 1 or 2, and exit 2 with one
 ``error:`` line whenever the reader refuses the file. A plot that exits 0
@@ -120,10 +121,14 @@ def _write(workdir, name, data: bytes) -> str:
 
 
 def _refused(read, *args) -> bool:
-    """Whether ``read`` refuses its input; any error but ``ValueError`` escapes."""
+    """Whether ``read`` refuses its input; any error but ``ValueError`` escapes.
+
+    A file reader's refusal must begin with the path it was given.
+    """
     try:
         read(*args)
-    except ValueError:
+    except ValueError as exc:
+        assert read is formats.parse_certificate or str(exc).startswith(f"{args[0]}:"), exc
         return True
     return False
 

@@ -7,8 +7,11 @@ runs of acceptance criterion 10 (read from ``tests/_cli_runs.py``); the
 certificates of perfbench's ``certify_suite`` (read from the
 ``CERTIFICATES`` table of ``perfbench/workloads.py``, the seeded ones at
 seeds 0, 1 and 2); and the refusals, each of which must exit 2, of
-numbers past the float range that the README names and of needle pitches
-too fine, after the builds they read. Each is ``python -m ifscert.cli``
+numbers past the float range that the README names, of needle pitches
+too fine, of files that break a function system's or a polyline's rules
+and of points outside a squeeze's box, after the builds they read, with
+one squeeze composition on the needle that stays inside its box (exit 1,
+inconclusive). Each is ``python -m ifscert.cli``
 in a fresh process. This script writes the function-system and model
 files the runs read.
 
@@ -72,6 +75,16 @@ REFUSAL_FILES = {
     # two pieces about 1e155 apart, whose gap's square overflows
     "far.model": "dim 2\npolyline a 2\n0 0\n1e150 0\npolyline b 2\n1e155 0\n1.0000000001e155 0\n"
                  "marked s 0 0\nmarked t 1e155 0\n",
+    # maps that break the system's rules, each named by its line
+    "strict.ifs": "dim 2\naffine 1 0 0 1 0 0\n",
+    "weak.ifs": "dim 2\nmode weak\naffine 2 0 0 2 0 0\n",
+    "redim.ifs": "affine 0.5 0 0 0.5 0 0\ndim 1\n",
+    # a polyline whose two vertices are one point
+    "repeat.model": "dim 2\npolyline a 2\n0 0\n0 0\n",
+    # a squeeze acts on [0, 1] x [-1, 1]; the segment to (2, 0) leaves it
+    "squeeze.ifs": "dim 2\nmode weak\nneedle_h1 100 attested\n",
+    "long.model": "dim 2\npolyline a 2\n0 0\n2 0\n",
+    "needle_h.ifs": "dim 2\nmode weak\nbegin\nneedle_h1 100\nneedle_h2\nend attested\n",
 }
 REFUSAL_RUNS = [(shlex.split(command), None) for command in [
     "build zigzag --n 1 --out l1.model",
@@ -87,6 +100,12 @@ REFUSAL_RUNS = [(shlex.split(command), None) for command in [
     "build needle --delta 1e-300 --out tiny.model",
     "build needle --delta 1e-14 --out fine.model",
     "chain needle.model far h(p) --eps0 1e-13 --kmax 0",
+    "attractor strict.ifs --out strict.model",
+    "attractor weak.ifs --out weak.model",
+    "attractor redim.ifs --out redim.model",
+    "plot repeat.model --out repeat.svg",
+    "certify fixed-set --ifs squeeze.ifs --model long.model --out squeeze.cert",
+    "certify needle-dichotomy --ifs needle_h.ifs --model needle.model --classify-pairs 0 --out needle_h.cert",
 ]]
 
 
