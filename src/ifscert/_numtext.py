@@ -267,9 +267,9 @@ def _pack(fields, literals: list[bytes], sep: bytes) -> str | None:
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def text_chunks(pattern: str, rows: np.ndarray, sep: str, chunk: int):
+def text_chunks(pattern: str, rows: np.ndarray, sep: str):
     """Yield ``sep.join(pattern % tuple(row) for row in rows)`` in pieces of
-    at most ``chunk`` rows (and ``_BLOCK_VALUES`` values).
+    at most ``_BLOCK_VALUES`` values (and at least one row).
 
     The pieces, joined with ``sep``, give the whole text. ``pattern`` holds
     one conversion per column of ``rows``, all ``%.17g`` or all ``%.2f``.
@@ -278,7 +278,7 @@ def text_chunks(pattern: str, rows: np.ndarray, sep: str, chunk: int):
     """
     conv, kernel = ("%.17g", g17) if "%.17g" in pattern else ("%.2f", f2)
     literals = [part.encode("ascii") for part in pattern.split(conv)]
-    step = max(1, min(chunk, _BLOCK_VALUES // max(1, rows.shape[1])))
+    step = max(1, _BLOCK_VALUES // max(1, rows.shape[1]))
     for lo in range(0, len(rows), step):
         block = rows[lo:lo + step]
         text = _pack([kernel(block[:, j]) for j in range(block.shape[1])], literals, sep.encode("ascii"))

@@ -34,7 +34,7 @@ _VERDICT_EXIT = {
 
 # flags (by argparse dest) that must be finite and positive, or (integer
 # flags) at least 0, wherever they occur
-_POSITIVE_FLAGS = ("delta", "tol", "eps0", "pitch_ratio")
+_POSITIVE_FLAGS = ("delta", "tol", "eps0")
 _NONNEGATIVE_FLAGS = ("kmax", "classify_pairs")
 
 
@@ -104,7 +104,6 @@ def _cmd_chain(args) -> int:
         _parse_point(args.dst),
         args.eps0,
         args.kmax,
-        pitch_ratio=args.pitch_ratio,
     )
     if args.out:
         formats.save_profile(profile, args.out)
@@ -162,6 +161,8 @@ def _cmd_attractor(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.seed is not None and args.kind != "needle-dichotomy":
+        raise ValueError(f"--seed applies to needle-dichotomy only, not {args.kind}")
     system = formats.load_ifs(args.ifs)
     model = formats.load_model(args.model)
     if isinstance(model, PointCloud):
@@ -171,16 +172,14 @@ def _cmd_certify(args) -> int:
     elif args.kind == "p-coverage":
         cert = certify.p_point_coverage(system, model, args.delta)
     else:
-        if not 0 <= args.map_index < len(system.maps):
-            raise ValueError(f"--map-index must address one of {len(system.maps)} maps")
         cert = certify.needle_dichotomy_check(
-            system.maps[args.map_index],
+            system.maps[0],
             model,
             eps0=args.eps0,
             k_max=args.kmax,
             delta=args.delta,
             classify_pairs=args.classify_pairs,
-            seed=args.seed,
+            seed=args.seed or 0,
         )
     return _emit_certificate(args, cert)
 
@@ -213,30 +212,32 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output file path")
     common.add_argument("--quiet", action="store_true", help="suppress informational output")
 
+    # no prefix matching: --seed is not --seed-cloud, nor --eps --eps0
     parser = argparse.ArgumentParser(
-        prog="ifscert",
+        prog="ifscert", allow_abbrev=False,
         description="Build continuum models, chain-metric profiles, attractors and certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", parents=[common], help="construct a model file")
+    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], allow_abbrev=False, help=help_text)
+
+    p_build = command("build", "construct a model file")
     p_build.add_argument("kind", choices=["needle", "P", "zigzag"])
     p_build.add_argument("--delta", type=float, default=1e-3, help="sampling pitch (needle)")
     p_build.add_argument("--n-max", type=int, default=6, help="largest scale index (P)")
     p_build.add_argument("--n", type=int, default=3, help="scale index (zigzag)")
     p_build.set_defaults(func=_cmd_build)
 
-    p_chain = sub.add_parser("chain", parents=[common], help="chain-length profile between two points")
+    p_chain = command("chain", "chain-length profile between two points")
     p_chain.add_argument("model", help="model file")
     p_chain.add_argument("src", help="marked label or x,y coordinates")
     p_chain.add_argument("dst", help="marked label or x,y coordinates")
     p_chain.add_argument("--eps0", type=float, default=0.1, help="coarsest scale")
     p_chain.add_argument("--kmax", type=int, default=8, help="number of halvings")
-    p_chain.add_argument("--pitch-ratio", type=float, default=10.0,
-                         help="scale-to-pitch ratio of each sampling")
     p_chain.set_defaults(func=_cmd_chain)
 
-    p_attr = sub.add_parser("attractor", parents=[common], help="iterate a function system to its fixed cloud")
+    p_attr = command("attractor", "iterate a function system to its fixed cloud")
     p_attr.add_argument("ifs", help="function-system file")
     p_attr.add_argument("--tol", type=float, default=1e-3, help="step tolerance")
     p_attr.add_argument("--max-iter", type=int, default=60)
@@ -246,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_attr.add_argument("--report", default=None, help="write per-iteration steps as CSV")
     p_attr.set_defaults(func=_cmd_attractor)
 
-    p_cert = sub.add_parser("certify", parents=[common], help="run a certificate and report its verdict")
+    p_cert = command("certify", "run a certificate and report its verdict")
     p_cert.add_argument("kind", choices=["fixed-set", "p-coverage", "needle-dichotomy"])
     p_cert.add_argument("--ifs", required=True, help="function-system file")
     p_cert.add_argument("--model", required=True, help="model file")
@@ -255,12 +256,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--kmax", type=int, default=6, help="number of halvings (dichotomy)")
     p_cert.add_argument("--classify-pairs", type=int, default=20000,
                         help="sample pairs for the contraction check; 0 trusts declared bounds")
-    p_cert.add_argument("--seed", type=int, default=0, help="seed for the sampled pairs (dichotomy)")
-    p_cert.add_argument("--map-index", type=int, default=0,
-                        help="which map of the file the dichotomy tests")
+    p_cert.add_argument("--seed", type=int, default=None,
+                        help="seed for the sampled pairs (needle-dichotomy only; default 0)")
     p_cert.set_defaults(func=_cmd_certify)
 
-    p_plot = sub.add_parser("plot", parents=[common], help="render a model file or profile CSV as SVG")
+    p_plot = command("plot", "render a model file or profile CSV as SVG")
     p_plot.add_argument("input", help="model file or profile CSV")
     p_plot.add_argument("--title", default="", help="chart title (CSV input)")
     p_plot.set_defaults(func=_cmd_plot)

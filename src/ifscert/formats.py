@@ -5,15 +5,17 @@ digits for decimals, and atomic writes (write to a temp file in the target
 directory, then rename). Same input, same bytes.
 
 Model files can hold millions of vertex rows, so their text is built and
-read in chunks of ``_CHUNK_ROWS`` rows. A write formats the rows with the
-exact ``%.17g`` kernel of ``_numtext`` (the bytes of Python's ``%``, which
-is the same C routine as ``format(x, ".17g")``) and joins the chunks once;
-``atomic_write`` encodes its text in slices. A read
-streams the file: header records line by line, vertex rows a chunk at a time
-through one ``np.array(tokens, dtype=float)``, which parses each token with
-Python's ``float``. A chunk that fails the exact layout check is parsed
-again line by line, which gives the error with its ``path:line``. Memory
-stays bounded by one chunk plus the arrays and text being returned.
+read in pieces. A write formats the rows 16,384 numbers (8,192 plane rows)
+per block with the exact ``%.17g`` kernel of ``_numtext`` (the bytes of
+Python's ``%``, which is the same C routine as ``format(x, ".17g")``) and
+joins the blocks once; ``atomic_write`` encodes its text in slices. A read
+streams the file, a regular file or a pipe alike: header records line by
+line, vertex rows ``_CHUNK_ROWS`` at a time through one
+``np.array(tokens, dtype=float)``, which parses each token with Python's
+``float``, into one array grown as each chunk parses. A chunk that fails
+the exact layout check is parsed again line by line, which gives the error
+with its ``path:line``. Memory stays bounded by one chunk plus the arrays
+and text being returned.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import csv
 import io
 import math
 import os
-import stat
 import tempfile
 from contextlib import nullcontext
 from itertools import islice
@@ -42,14 +43,14 @@ def _fmt_coords(pt) -> str:
     return " ".join(_fmt(c) for c in np.asarray(pt, dtype=float).ravel())
 
 
-# vertex rows formatted or parsed at a time, and characters encoded at a time
+# vertex rows parsed at a time, and characters encoded at a time
 _CHUNK_ROWS = 1 << 16
 _WRITE_SLICE = 1 << 20
 
 
 def _row_blocks(rows: np.ndarray):
-    """Yield the text of ``rows``, one ``%.17g`` row a line, a chunk at a time."""
-    return _numtext.text_chunks(" ".join(["%.17g"] * rows.shape[1]) + "\n", rows, "", _CHUNK_ROWS)
+    """Yield the text of ``rows``, one ``%.17g`` row a line, a block at a time."""
+    return _numtext.text_chunks(" ".join(["%.17g"] * rows.shape[1]) + "\n", rows, "")
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -158,17 +159,13 @@ def _chunk_rows(lines: list[str], dim: int):
         return None
 
 
-def _read_vertices(fh, start: int, count: int, dim: int, path: str, size: int | None):
+def _read_vertices(fh, start: int, count: int, dim: int, path: str):
     """Read the next ``count`` rows of ``fh``, line ``start + 1`` first, a chunk at a time.
 
-    A row of ``dim`` numbers takes at least ``2 * dim`` bytes (the last one
-    may lack its newline). A count that a regular file of ``size`` bytes
-    could not hold is not allocated: its chunks are parsed and dropped until
-    the block fails. ``size`` is None for a pipe or device, whose length is
-    unknown: its chunks are kept and joined once the count is read.
+    The array grows by each chunk as it parses, so a count larger than the
+    rows that follow ends in a truncation error, not in its allocation.
     """
-    rows = np.empty((count, dim)) if size is not None and count * 2 * dim - 1 <= size else None
-    blocks = [np.empty((0, dim))] if size is None else None
+    rows = np.empty((0, dim))
     for lo in range(0, count, _CHUNK_ROWS):
         want = min(_CHUNK_ROWS, count - lo)
         lines = list(islice(fh, want))
@@ -176,14 +173,12 @@ def _read_vertices(fh, start: int, count: int, dim: int, path: str, size: int | 
         if block is None:
             # the line-by-line parse raises with the line at fault
             block = _parse_vertices(lines, start + lo, want, dim, path)
-        if rows is not None:
-            rows[lo:lo + want] = block
-        elif blocks is not None:
-            blocks.append(block)
-    return rows if blocks is None else np.concatenate(blocks)
+        rows.resize((lo + want, dim), refcheck=False)
+        rows[lo:] = block
+    return rows
 
 
-def _read_model_records(fh, path: str, size: int | None):
+def _read_model_records(fh, path: str):
     """The records of a model file, read from the lines of ``fh``.
 
     Each polyline and marked point is checked at its line. ``wheres`` holds
@@ -223,7 +218,7 @@ def _read_model_records(fh, path: str, size: int | None):
             name, rest = parts[1], parts[2].split()
             count = _number(rest[0], where, int, least=0)
             closed = len(rest) > 1 and rest[1] == "closed"
-            rows = _read_vertices(fh, i, count, dim, path, size)
+            rows = _read_vertices(fh, i, count, dim, path)
             if tag == "polyline":
                 pieces.append(_built(where, Polyline, rows, closed=closed, name=name))
             else:
@@ -253,11 +248,9 @@ def load_model(path: str, lines=None) -> ContinuumModel | PointCloud:
     record, which sets that dimension.
     """
     with open(path, "r", encoding="utf-8") if lines is None else nullcontext(lines) as fh:
-        st = os.stat(path)
-        size = st.st_size if stat.S_ISREG(st.st_mode) else None
         try:
             try:
-                dim, meta, pieces, point_blocks, marked, wheres = _read_model_records(fh, path, size)
+                dim, meta, pieces, point_blocks, marked, wheres = _read_model_records(fh, path)
             except ValueError as exc:
                 # a byte that is not UTF-8 anywhere in the file takes precedence
                 # over a parse error, as if the file had been decoded whole

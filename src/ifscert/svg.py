@@ -2,8 +2,8 @@
 
 Fixed 1000x1000 viewport, fixed palette, fixed decimal formatting: the same
 input always produces the same bytes. Path data for large clouds and lines
-is formatted at most ``_CHUNK_POINTS`` points at a time by the exact
-``%.2f`` kernel of ``_numtext``, whose bytes are Python's ``%``.
+is formatted 8,192 points per block by the exact ``%.2f`` kernel of
+``_numtext``, whose bytes are Python's ``%``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .geometry import ContinuumModel, PointCloud
 VIEW = 1000
 _PLOT_MARGIN = 0.05
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
-_CHUNK_POINTS = 1 << 16
 
 _HEADER = (
     f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW}" height="{VIEW}" '
@@ -60,12 +59,12 @@ class _Frame:
 
 
 def _format_points(pattern: str, pts: np.ndarray) -> str:
-    """``pattern % (x, y)`` for each point, space-separated, a chunk at a time.
+    """``pattern % (x, y)`` for each point, space-separated, a block at a time.
 
     The bytes are Python's ``%`` (see ``_numtext``); ``"%.2f" % v`` and
     ``_c(v)`` are the same C routine.
     """
-    return " ".join(_numtext.text_chunks(pattern, pts, " ", _CHUNK_POINTS))
+    return " ".join(_numtext.text_chunks(pattern, pts, " "))
 
 
 def _path(canvas_pts: np.ndarray) -> str:

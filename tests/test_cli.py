@@ -344,7 +344,7 @@ def test_memory_error_exits_2(tmp_path, capfd, monkeypatch, exc, message):
     assert err == f"error: {message}\n"
 
 
-def test_usage_and_input_errors(tmp_path, capsys):
+def test_usage_and_input_errors(tmp_path, capsys, halves_ifs):
     assert run("frobnicate") == 2
     assert run() == 2
     garbage = tmp_path / "garbage.model"
@@ -352,12 +352,54 @@ def test_usage_and_input_errors(tmp_path, capsys):
     rc = run("chain", str(garbage), "a", "b")
     assert rc == 2
     assert "unknown record" in capsys.readouterr().err
-    # only certify reads --seed; elsewhere it is a usage error
+    # only certify reads --seed; elsewhere it is a usage error, not a prefix of --seed-cloud
     for argv in (["build", "zigzag", "--n", "1", "--out", str(tmp_path / "l1.model")],
-                 ["chain", str(garbage), "a", "b"], ["plot", str(garbage), "--out", str(tmp_path / "g.svg")]):
+                 ["chain", str(garbage), "a", "b"], ["plot", str(garbage), "--out", str(tmp_path / "g.svg")],
+                 ["attractor", halves_ifs, "--out", str(tmp_path / "att.model")]):
         assert run(*argv, "--seed", "7") == 2
         assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
     assert not (tmp_path / "l1.model").exists()
+    assert not (tmp_path / "att.model").exists()
+    # no flag is read as a prefix of another, and the removed flags are gone
+    for argv, flag in ((["chain", str(garbage), "a", "b"], ["--eps", "1e-3"]),
+                       (["chain", str(garbage), "a", "b"], ["--pitch-ratio", "10"]),
+                       (["certify", "needle-dichotomy", "--ifs", halves_ifs, "--model", str(garbage)],
+                        ["--map-index", "0"])):
+        assert run(*argv, *flag) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, ifs_text, model_argv", [
+    ("fixed-set", "dim 2\naffine 0.5 0 0 0.5 0 0\n", ["needle", "--delta", "1e-2"]),
+    ("p-coverage", "dim 2\naffine 0 0 0 0 0 0\n", ["P", "--n-max", "2"]),
+], ids=["fixed-set", "p-coverage"])
+def test_certify_refuses_a_seed_its_kind_does_not_read(tmp_path, capfd, kind, ifs_text, model_argv):
+    system, model, out = tmp_path / "f.ifs", str(tmp_path / "m.model"), tmp_path / "out.cert"
+    system.write_text(ifs_text)
+    assert run("build", *model_argv, "--out", model, "--quiet") == 0
+    argv = ["certify", kind, "--ifs", str(system), "--model", model, "--delta", "1e-2", "--quiet"]
+    assert run(*argv) in (0, 1)
+    rc = run(*argv, "--seed", "7", "--out", str(out))
+    stdout, err = capfd.readouterr()
+    assert (rc, stdout) == (2, "")
+    assert err == f"error: --seed applies to needle-dichotomy only, not {kind}\n"
+    assert not out.exists()
+
+
+def test_needle_dichotomy_seed_defaults_to_0(tmp_path, capsys):
+    needle = str(tmp_path / "needle.model")
+    assert run("build", "needle", "--delta", "1e-2", "--out", needle, "--quiet") == 0
+    const = tmp_path / "const.ifs"
+    const.write_text("dim 2\naffine 0 0 0 0 0 0\n")
+    argv = ["certify", "needle-dichotomy", "--ifs", str(const), "--model", needle,
+            "--delta", "1e-2", "--kmax", "2", "--classify-pairs", "200"]
+    outs = {}
+    for seed in ([], ["--seed", "0"], ["--seed", "7"]):
+        assert run(*argv, *seed) == 0
+        outs[" ".join(seed)] = capsys.readouterr().out
+    assert outs[""] == outs["--seed 0"]
+    assert "param.seed=0\n" in outs[""]
+    assert outs["--seed 7"] == outs[""].replace("param.seed=0\n", "param.seed=7\n")
 
 
 def test_plot_names_the_file_of_a_first_line_that_is_not_utf8(tmp_path, capsys):
@@ -421,7 +463,7 @@ def test_malformed_input_files_exit_2_with_their_line(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--eps0", "nan"), ("--eps0", "inf"), ("--pitch-ratio", "nan"), ("--pitch-ratio", "inf"),
+    ("--eps0", "nan"), ("--eps0", "inf"),
 ])
 def test_chain_rejects_non_finite_schedule_flags(tmp_path, capfd, flag, value):
     model = str(tmp_path / "l1.model")

@@ -1,9 +1,13 @@
+import itertools
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
 
+from ifscert import formats
 from ifscert.certify import Certificate
 from ifscert.continua import build_P, build_needle
 from ifscert.formats import (
@@ -239,6 +243,50 @@ def test_oversized_point_count_fails_without_allocating(tmp_path):
     p.write_text("dim 2\nmeta pitch 1\npoints c 100000000000\n0 0\n1 x\n")
     with pytest.raises(ValueError, match=f"^{p}:5: bad coordinate"):
         load_model(str(p))
+
+
+def _load_three_ways(tmp_path, name: str, text: str):
+    """``load_model`` of ``text`` from a file, through ``lines=`` as ``plot``
+    passes them, and from a FIFO fed by a writer thread; each gives its
+    model or its error with the path as ``<path>``."""
+    path, fifo = tmp_path / f"{name}.model", tmp_path / f"{name}.fifo"
+    path.write_text(text)
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w") as fh:
+            fh.write(text)
+
+    def plotted(where):
+        with open(where, "r", encoding="utf-8") as fh:
+            return load_model(where, itertools.chain([fh.readline()], fh))
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    outcomes = []
+    for load, where in ((load_model, str(path)), (plotted, str(path)), (load_model, str(fifo))):
+        try:
+            outcomes.append(load(where))
+        except ValueError as exc:
+            outcomes.append(str(exc).replace(where, "<path>"))
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    return outcomes
+
+
+def test_files_lines_and_pipes_read_rows_alike(tmp_path):
+    n = 131_077
+    assert 2 * formats._CHUNK_ROWS < n <= 3 * formats._CHUNK_ROWS  # three chunks
+    points = np.random.default_rng(5).standard_normal((n, 2))
+    text = model_text(PointCloud(points, 0.25))
+    for cloud in _load_three_ways(tmp_path, "good", text):
+        assert isinstance(cloud, PointCloud) and cloud.pitch == 0.25
+        assert cloud.points.tobytes() == points.tobytes()
+    # a bad row in the third chunk, at line 3 + 131,076
+    lines = text.splitlines(keepends=True)
+    lines[3 + n - 2] = "1 x\n"
+    errors = _load_three_ways(tmp_path, "bad", "".join(lines))
+    assert errors == [f"<path>:{3 + n - 1}: bad coordinate in '1 x'"] * 3
 
 
 def test_profile_csv_roundtrip_with_infinities(tmp_path):

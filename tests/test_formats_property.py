@@ -7,8 +7,9 @@ whitespace, ragged rows whose token total still matches, padded and blank
 rows, CRLF and CR line ends, no final newline, truncation, ``1_0``,
 non-ASCII digits, bad tokens, a byte that is not UTF-8), both must return
 the same arrays bit for bit or raise the same error with the same message.
-The writers must give the per-point writers' text byte for byte. Chunks are
-7 rows, so blocks span several chunks and end inside one.
+The writers must give the per-point writers' text byte for byte. Read
+chunks are 7 rows and write blocks 7 values, so vertex blocks span several
+of each and end inside one.
 """
 
 from unittest import mock
@@ -21,7 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import load_model_per_line, model_svg_per_point, model_text_per_point
-from ifscert import formats, svg
+from ifscert import _numtext, formats
 from ifscert.formats import load_model, model_text
 from ifscert.geometry import ContinuumModel, PointCloud, Polyline
 from ifscert.svg import model_svg
@@ -41,7 +42,7 @@ LINE_ENDS = ["\n", "\r\n", "\r"]
 def small_chunks():
     with mock.patch.object(formats, "_CHUNK_ROWS", CHUNK), \
             mock.patch.object(formats, "_WRITE_SLICE", CHUNK), \
-            mock.patch.object(svg, "_CHUNK_POINTS", CHUNK):
+            mock.patch.object(_numtext, "_BLOCK_VALUES", CHUNK):
         yield
 
 

@@ -10,6 +10,7 @@ ties.
 """
 
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,9 +31,11 @@ def _python(conv, values, sep="\n"):
     return sep.join([conv] * len(values)) % tuple(values.tolist())
 
 
-def _text(conv, values, sep="\n", chunk=4096):
+def _text(conv, values, sep="\n", block=4096):
+    """``text_chunks`` of the values as one column, ``block`` values a block."""
     values = np.asarray(values, dtype=float)
-    return sep.join(_numtext.text_chunks(conv, values[:, None], sep, chunk))
+    with mock.patch.object(_numtext, "_BLOCK_VALUES", block):
+        return sep.join(_numtext.text_chunks(conv, values[:, None], sep))
 
 
 def _same(got: str, want: str):
@@ -74,7 +77,7 @@ def test_random_bit_patterns_match_python(conv):
     # go through the kernel alone (a slice suffices for the fallback, whose
     # %.2f texts run to 300 digits)
     _same(_text(conv, values[ok]), _python(conv, values[ok]))
-    _same(_text(conv, values[:20_000], chunk=64), _python(conv, values[:20_000]))
+    _same(_text(conv, values[:20_000], block=64), _python(conv, values[:20_000]))
     if conv == "%.2f":
         assert np.array_equal(ok, np.abs(values) < 1e15)
     else:
@@ -108,7 +111,7 @@ def test_specials_match_python(conv):
     assert ok[:2].all()  # nor is either zero refused
     for v in specials:  # one value a chunk: each one alone falls back or not
         _same(_text(conv, [v]), conv % v)
-    _same(_text(conv, specials, chunk=3), _python(conv, specials))
+    _same(_text(conv, specials, block=3), _python(conv, specials))
 
 
 def test_powers_of_ten_and_their_neighbours_g17():
@@ -133,7 +136,7 @@ def test_powers_of_two_match_python(conv):
     # 2^k has at most 17 significant digits followed by a 5 for many k: exact ties
     values = np.ldexp(1.0, np.arange(-1074, 1024))
     values = np.concatenate([values, -values, values[:-2] * 3, values * 0.75])
-    _same(_text(conv, values, chunk=97), _python(conv, values))
+    _same(_text(conv, values, block=97), _python(conv, values))
     texts, ok = _rows(conv, values)
     assert [t for t, o in zip(texts, ok) if o] == [conv % v for v, o in zip(values.tolist(), ok) if o]
 
@@ -155,11 +158,14 @@ def test_named_cases():
 def test_text_chunks_layouts_and_fallback():
     rows = np.array([[0.5, -2.0 ** -30], [1e-5, 123.0], [np.nan, 1.0], [0.0, -0.0]])
     pattern = "%.17g %.17g\n"
-    for chunk in (1, 2, 3, 4):
-        got = "".join(_numtext.text_chunks(pattern, rows, "", chunk))
+    # blocks of 1 to 4 rows; a block smaller than a row still takes one row
+    for block in (1, 4, 6, 8):
+        with mock.patch.object(_numtext, "_BLOCK_VALUES", block):
+            got = "".join(_numtext.text_chunks(pattern, rows, ""))
         assert got == (pattern * len(rows)) % tuple(rows.ravel().tolist())
     pts = np.array([[10.004, 0.005], [-3.0, 999.995], [1e20, 2.0], [0.0, -0.0]])
-    for chunk in (1, 3, 4):
-        got = " ".join(_numtext.text_chunks("M%.2f,%.2f h0", pts, " ", chunk))
+    for block in (2, 6, 8):
+        with mock.patch.object(_numtext, "_BLOCK_VALUES", block):
+            got = " ".join(_numtext.text_chunks("M%.2f,%.2f h0", pts, " "))
         assert got == " ".join(["M%.2f,%.2f h0"] * len(pts)) % tuple(pts.ravel().tolist())
-    assert list(_numtext.text_chunks(pattern, np.empty((0, 2)), "", 5)) == []
+    assert list(_numtext.text_chunks(pattern, np.empty((0, 2)), "")) == []

@@ -8,9 +8,11 @@ certificates of perfbench's ``certify_suite`` (read from the
 ``CERTIFICATES`` table of ``perfbench/workloads.py``, the seeded ones at
 seeds 0, 1 and 2); and the refusals, each of which must exit 2, of
 numbers past the float range that the README names, of needle pitches
-too fine, of files that break a function system's or a polyline's rules
-and of points outside a squeeze's box, after the builds they read, with
-one squeeze composition on the needle that stays inside its box (exit 1,
+too fine, of files that break a function system's or a polyline's rules,
+of points outside a squeeze's box and of flags a command does not read (a
+prefix of another flag, ``--seed`` off ``needle-dichotomy``, ``--map-index``
+and ``--pitch-ratio``), after the builds they read, with one squeeze
+composition on the needle that stays inside its box (exit 1,
 inconclusive). Each is ``python -m ifscert.cli``
 in a fresh process. This script writes the function-system and model
 files the runs read.
@@ -106,6 +108,13 @@ REFUSAL_RUNS = [(shlex.split(command), None) for command in [
     "plot repeat.model --out repeat.svg",
     "certify fixed-set --ifs squeeze.ifs --model long.model --out squeeze.cert",
     "certify needle-dichotomy --ifs needle_h.ifs --model needle.model --classify-pairs 0 --out needle_h.cert",
+    # flags the command does not read, none of them taken as a prefix of another
+    "attractor halves.ifs --seed 7 --out seed.model",
+    "chain l1.model p0 p1 --eps 1e-3 --kmax 0",
+    "certify fixed-set --ifs halves.ifs --model needle.model --seed 7 --out seed.cert",
+    "certify p-coverage --ifs const.ifs --model P.model --seed 7 --out seed.cert",
+    "certify needle-dichotomy --ifs needle_h.ifs --model needle.model --map-index 0 --out map.cert",
+    "chain l1.model p0 p1 --eps0 1e-3 --kmax 0 --pitch-ratio 10",
 ]]
 
 
