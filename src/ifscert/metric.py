@@ -9,6 +9,8 @@ module.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 import os
@@ -31,9 +33,9 @@ _SNAP_SLACK = 1.000001
 # Edge budget for a single neighbour graph. The kept graph costs 12 bytes an
 # edge (an int32 column index and a float64 weight), about 1 GB at the
 # budget. The sweep writes kept edges straight into those arrays, so a build
-# adds only its per-point ranges and one chunk of candidates: 13 bytes an
-# edge in all at the needle's finest README scale. A query's Dijkstra pass
-# adds the transpose, another 12.
+# adds only its per-point ranges and at most two chunks of candidates per
+# worker: 13 bytes an edge in all at the needle's finest README scale. A
+# query's Dijkstra pass adds the transpose, another 12.
 _MAX_EDGES = 8e7
 
 # The largest hop bound a graph takes. Every hop it keeps is shorter, so the
@@ -41,8 +43,13 @@ _MAX_EDGES = 8e7
 # overflows is longer than the bound, and rightly dropped.
 _MAX_EPSILON = 2.0 ** 510
 
-# Candidate pairs measured at a time while the sweep builds a graph.
-_SWEEP_CHUNK = 1 << 18
+# Candidate pairs one worker measures at a time while the sweep builds a
+# graph; each worker has at most two chunks in flight.
+_SWEEP_CHUNK = 1 << 16
+
+# glibc's mallopt parameter numbers (malloc.h), for the pool's settings.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 # Every this-many-th point is queried without a bound to cap the rest of a
 # Hausdorff pass (see _nearest_distances).
@@ -118,6 +125,86 @@ def _query_workers() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool(workers: int):
+    """The process's pool of ``workers`` threads, made on first use and then kept.
+
+    glibc gives each thread that allocates a malloc arena of its own, and
+    keeps an arena's free top resident up to its trim threshold, which
+    grows to 64 MiB as large blocks are freed. The calling thread cannot
+    reuse what the workers' arenas keep, a refinement's temporaries above
+    all, so before its threads start the pool fixes glibc's thresholds:
+    the mmap threshold at 32 MiB, the ceiling it grows to anyway, and the
+    trim threshold at 8 MiB. Kept threads keep their arenas, and
+    :func:`_release_freed_memory` hands back what the arenas hold free.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # a one-CPU run never pays the import
+
+    libc = _glibc()
+    if libc is not None:
+        libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        libc.mallopt(_M_TRIM_THRESHOLD, 8 << 20)
+    return ThreadPoolExecutor(workers, thread_name_prefix="ifscert")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _ordered_map(fn, jobs):
+    """Yield ``fn(*job)`` for each job, in order.
+
+    With one CPU the jobs run one by one in the calling thread. Otherwise
+    they run on the pool, at most two per worker ahead of the caller, so
+    finished results never pile up; if the caller stops early, the jobs not
+    yet started are cancelled and the running ones waited for.
+    """
+    workers = _query_workers()
+    if workers == 1:
+        yield from itertools.starmap(fn, jobs)
+        return
+    pool, pending = _pool(workers), collections.deque()
+    try:
+        for job in jobs:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, *job))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            _settle(future)
+
+
+def _settle(future) -> None:
+    """Cancel ``future``, or wait for it if it is running; its result or error is dropped."""
+    if not future.cancel():
+        future.exception()
+
+
+@functools.cache
+def _glibc():
+    """The C library through ctypes where it is glibc (it has ``malloc_trim``), else None."""
+    import ctypes
+
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no process-wide symbol table to open, as on Windows
+        return None
+    if not hasattr(libc, "malloc_trim"):
+        return None
+    libc.malloc_trim.argtypes, libc.malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+    libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return libc
+
+
+def _release_freed_memory() -> None:
+    """Hand the free pages of every malloc arena back to the system, with glibc."""
+    libc = _glibc()
+    if libc is not None:
+        libc.malloc_trim(0)
 
 
 @dataclass(frozen=True)
@@ -269,9 +356,11 @@ def _sweep_csr(points: np.ndarray, epsilon: float, starts, lengths) -> csr_matri
     """Upper-triangle CSR graph of the candidates whose computed length is below ``epsilon``.
 
     ``points`` are in the sweep's order. Candidates are measured a chunk of
-    whole rows at a time, each hop as ``sqrt(einsum(d, d))`` with
-    ``d = p_row - p_col``; they arrive by row with increasing columns, so
-    the kept ones are the CSR arrays as they stand.
+    whole rows at a time by :func:`_measure_rows`, the chunks on the worker
+    pool (see :func:`_ordered_map`). They arrive by row with increasing
+    columns, and this thread writes each chunk's kept edges into the CSR
+    arrays in row order, so the arrays do not depend on the chunk size or
+    the worker count.
     """
     n = len(points)
     per_row = lengths.sum(axis=1)
@@ -283,30 +372,51 @@ def _sweep_csr(points: np.ndarray, epsilon: float, starts, lengths) -> csr_matri
     # kept edges fill are ever written, so only they take memory
     room = int(min(cum[-1], _MAX_EDGES))
     indices, data = np.empty(room, dtype=index), np.empty(room)
-    r0 = 0
-    while r0 < n:
-        r1 = max(r0 + 1, int(np.searchsorted(cum, cum[r0] + _SWEEP_CHUNK, "right")) - 1)
-        ln = lengths[r0:r1].ravel()
-        first = np.cumsum(ln) - ln
-        col = np.arange(first[-1] + ln[-1]) + np.repeat(starts[r0:r1].ravel() - first, ln)
-        d = np.repeat(points[r0:r1], per_row[r0:r1], axis=0)
-        d -= np.take(points, col, axis=0)
-        w = np.einsum("ij,ij->i", d, d)
-        np.sqrt(w, out=w)
-        keep = np.flatnonzero(w < epsilon)
-        # kept candidates before the end of each row
-        indptr[r0 + 1:r1 + 1] = indptr[r0] + np.searchsorted(keep, cum[r0 + 1:r1 + 1] - cum[r0])
+    measure = functools.partial(_measure_rows, points, epsilon, starts, lengths, per_row, cum)
+    chunks = list(_row_chunks(cum))
+    for (r0, r1), (col, w, row_ends) in zip(chunks, _ordered_map(measure, chunks)):
+        indptr[r0 + 1:r1 + 1] = indptr[r0] + row_ends
         if indptr[r1] > len(data):
             indices.resize(2 * indptr[r1], refcheck=False)
             data.resize(2 * indptr[r1], refcheck=False)
-        indices[indptr[r0]:indptr[r1]] = col[keep]
-        data[indptr[r0]:indptr[r1]] = w[keep]
-        r0 = r1
+        indices[indptr[r0]:indptr[r1]] = col
+        data[indptr[r0]:indptr[r1]] = w
     indices.resize(indptr[-1], refcheck=False)  # shrinks in place, without a copy
     data.resize(indptr[-1], refcheck=False)
     adjacency = csr_matrix((data, indices, indptr.astype(index)), shape=(n, n))
     adjacency.has_sorted_indices = True
     return adjacency
+
+
+def _row_chunks(cum: np.ndarray):
+    """Runs ``(r0, r1)`` of whole rows holding about ``_SWEEP_CHUNK`` candidates each.
+
+    ``cum[r]`` counts the candidates of the rows before ``r``; a run holds
+    at least one row.
+    """
+    r0, n = 0, len(cum) - 1
+    while r0 < n:
+        r1 = max(r0 + 1, int(np.searchsorted(cum, cum[r0] + _SWEEP_CHUNK, "right")) - 1)
+        yield r0, r1
+        r0 = r1
+
+
+def _measure_rows(points, epsilon, starts, lengths, per_row, cum, r0, r1):
+    """The kept candidates of rows ``r0 .. r1 - 1``: columns, hops and each row's end.
+
+    Each hop is ``sqrt(einsum(d, d))`` over its own ``d = p_row - p_col``,
+    so its float does not depend on the other candidates of the chunk.
+    """
+    ln = lengths[r0:r1].ravel()
+    first = np.cumsum(ln) - ln
+    col = np.arange(first[-1] + ln[-1]) + np.repeat(starts[r0:r1].ravel() - first, ln)
+    d = np.repeat(points[r0:r1], per_row[r0:r1], axis=0)
+    d -= np.take(points, col, axis=0)
+    w = np.einsum("ij,ij->i", d, d)
+    np.sqrt(w, out=w)
+    keep = np.flatnonzero(w < epsilon)
+    # kept candidates before the end of each row
+    return col[keep], w[keep], np.searchsorted(keep, cum[r0 + 1:r1 + 1] - cum[r0])
 
 
 def nearest_samples(samples: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,20 +459,29 @@ def _snap_indices(graph: EpsGraph, points: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _pair_distances(graph: EpsGraph, ends: np.ndarray) -> np.ndarray:
-    """Chained distances for an ``(m, 2, dim)`` array of endpoint pairs.
+def _snapped_vertices(graph: EpsGraph, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices of ``graph`` that an ``(m, 2, dim)`` array of endpoint pairs snaps to.
 
-    One Dijkstra pass serves every distinct source; pairs that snap to one
-    sample get 0 without a search.
+    Returns the ``m`` sources and the ``m`` targets.
     """
     vertex = np.empty_like(graph.order)
     vertex[graph.order] = np.arange(len(vertex))
-    src, dst = vertex[_snap_indices(graph, ends.reshape(-1, ends.shape[-1]))].reshape(-1, 2).T
+    return vertex[_snap_indices(graph, ends.reshape(-1, ends.shape[-1]))].reshape(-1, 2).T
+
+
+def _chained_distances(adjacency: csr_matrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Shortest-path lengths from each vertex of ``src`` to its vertex of ``dst``.
+
+    One Dijkstra pass serves every distinct source; pairs of one vertex get
+    0 without a search.
+    """
     out = np.zeros(len(src))
     live = src != dst
     if live.any():
         sources, row = np.unique(src[live], return_inverse=True)
-        dist = dijkstra(graph.matrix(), directed=False, indices=sources)
+        if _query_workers() > 1:
+            _release_freed_memory()
+        dist = dijkstra(adjacency, directed=False, indices=sources)
         out[live] = dist[row, dst[live]]
     return out
 
@@ -380,7 +499,7 @@ def chain_distance(cloud: PointCloud, x, y, epsilon: float) -> float:
 def chain_distance_on_graph(graph: EpsGraph, x, y) -> float:
     dim = graph.cloud.dimension
     ends = np.stack([as_point(x, dim), as_point(y, dim)])[None]
-    return float(_pair_distances(graph, ends)[0])
+    return float(_chained_distances(graph.matrix(), *_snapped_vertices(graph, ends))[0])
 
 
 @dataclass(frozen=True)
@@ -434,6 +553,12 @@ def chain_profiles(
     Each scale refines the model once, builds one graph and runs one
     Dijkstra pass from the distinct sources, so the profiles equal separate
     :func:`chain_profile` calls bit for bit.
+
+    With more than one CPU, scale ``k + 1`` is refined on the worker pool
+    while scale ``k``'s graph is built and searched in this thread. Errors
+    keep their serial order: a refinement's error is raised when its scale
+    is reached, and an error at scale ``k`` cancels or waits out the
+    pending refinement first.
     """
     if not (0 < eps0 < math.inf) or k_max < 0:
         raise ValueError("need a finite eps0 > 0 and k_max >= 0")
@@ -447,13 +572,33 @@ def chain_profiles(
     epsilons = eps0 * 0.5 ** np.arange(k_max + 1)
     pitches = epsilons / pitch_ratio
     values = np.empty((len(ends), k_max + 1))
-    for k, (eps, delta) in enumerate(zip(epsilons, pitches)):
-        graph = eps_graph(model.refine(float(delta)), float(eps))
-        values[:, k] = _pair_distances(graph, ends)
+    workers = _query_workers()
+    refined = None  # the pending refinement of the next scale
+    try:
+        for k, (eps, delta) in enumerate(zip(epsilons, pitches)):
+            cloud = refined.result() if refined is not None else model.refine(float(delta))
+            refined = None
+            if workers > 1 and k < k_max:
+                refined = _pool(workers).submit(_refine, model, float(pitches[k + 1]))
+            graph = eps_graph(cloud, float(eps))
+            src, dst = _snapped_vertices(graph, ends)
+            adjacency = graph.matrix()
+            del graph, cloud  # the search needs only the matrix: free the samples first
+            values[:, k] = _chained_distances(adjacency, src, dst)
+    finally:
+        if refined is not None:
+            _settle(refined)
     return [
         ChainMetricProfile(epsilons, pitches, v, *_profile_verdict(epsilons, pitches, v, k_max))
         for v in values
     ]
+
+
+def _refine(model: ContinuumModel, delta: float) -> PointCloud:
+    """``model.refine(delta)`` on a worker, whose temporaries go back to the system at once."""
+    cloud = model.refine(delta)
+    _release_freed_memory()
+    return cloud
 
 
 def _profile_verdict(epsilons, pitches, values, k_max):

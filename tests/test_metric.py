@@ -1,5 +1,13 @@
+import dataclasses
+import functools
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +27,8 @@ from ifscert.metric import (
     monotonicity_check,
 )
 
-from _oracles import chain_bruteforce
+from _oracles import chain_bruteforce, chain_profiles_reference
+from test_cli import _subprocess_env
 
 
 def _segment_cloud(pitch: float) -> PointCloud:
@@ -179,15 +188,73 @@ def test_eps_graph_counts_exactly_when_the_candidates_exceed_the_budget(monkeypa
         eps_graph(cloud, epsilon)
 
 
+def _assert_same_csr(got, want):
+    """The CSR arrays of ``got`` and ``want`` are equal bit for bit."""
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+def _one_chunk_csr(monkeypatch, points, epsilon):
+    """The sweep of ``points`` in one chunk, in the calling thread."""
+    order, starts, lengths = metric._sweep_ranges(points, epsilon)
+    with monkeypatch.context() as patch:
+        patch.setattr(metric, "_SWEEP_CHUNK", 1 << 62)
+        patch.setattr(metric, "_query_workers", lambda: 1)
+        return metric._sweep_csr(points[order], epsilon, starts, lengths)
+
+
+@functools.cache
+def _stitch_case():
+    """A random cloud with a duplicate point (a zero-length hop), its epsilon and its oracle."""
+    rng = np.random.default_rng(20261020)
+    points = rng.uniform(size=(400, 2))
+    points = np.vstack([points, points[:1]])
+    return points, 0.2, _graph_oracle(points, 0.2)
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every microsecond, so that workers interleave as often as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_sweep_chunks_stitch_bit_for_bit(monkeypatch, fast_switching, chunk, workers):
+    # three workers are more threads than a two-core machine has cores
+    points, epsilon, oracle = _stitch_case()
+    want = _one_chunk_csr(monkeypatch, points, epsilon)
+    order, starts, lengths = metric._sweep_ranges(points, epsilon)
+    assert lengths.sum() > 3 * 4096  # even the largest chunk cuts the sweep several times
+    monkeypatch.setattr(metric, "_SWEEP_CHUNK", chunk)
+    monkeypatch.setattr(metric, "_query_workers", lambda: workers)
+    _assert_same_csr(metric._sweep_csr(points[order], epsilon, starts, lengths), want)
+    graph = eps_graph(PointCloud(points, 0.01), epsilon)
+    _assert_same_csr(graph.matrix(), want)
+    got = graph_edges(graph)
+    assert got.keys() == oracle.keys()
+    for key, w in oracle.items():
+        assert got[key] == pytest.approx(w, rel=1e-15, abs=0.0), key
+
+
 def test_sweep_buffers_grow_past_the_budget(monkeypatch):
     cloud, epsilon, _, exact = _guarded_cloud()
-    want = eps_graph(cloud, epsilon).matrix()
+    want = _one_chunk_csr(monkeypatch, cloud.points, epsilon)
     monkeypatch.setattr(metric, "_MAX_EDGES", 1)
     order, starts, lengths = metric._sweep_ranges(cloud.points, epsilon)
-    got = metric._sweep_csr(cloud.points[order], epsilon, starts, lengths)
-    assert got.nnz == exact
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
+    # one chunk, then many: the buffers grow while chunks are stitched
+    for chunk, workers in [(1 << 62, 1), (7, 1), (7, 2), (7, 3)]:
+        monkeypatch.setattr(metric, "_SWEEP_CHUNK", chunk)
+        monkeypatch.setattr(metric, "_query_workers", lambda: workers)
+        got = metric._sweep_csr(cloud.points[order], epsilon, starts, lengths)
+        assert got.nnz == exact
+        _assert_same_csr(got, want)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -311,6 +378,109 @@ _CRITERION_2_VALUES = [
     "0x1.c80d94340e34bp+1", "0x1.17ed53c7bad85p+2", "0x1.56ab0bfb7ccbep+2",
     "0x1.a1c63cd229b1ep+2", "0x1.fbb92d3b3da15p+2", "0x1.3373f899b6a9bp+3",
 ]
+
+
+class _RecordingPool:
+    """A thread pool that keeps every future it hands out."""
+
+    def __init__(self, workers):
+        self.pool = ThreadPoolExecutor(workers)
+        self.futures = []
+
+    def submit(self, fn, *args):
+        self.futures.append(self.pool.submit(fn, *args))
+        return self.futures[-1]
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Route the pool work through a :class:`_RecordingPool` of two workers."""
+    pool = _RecordingPool(2)
+    monkeypatch.setattr(metric, "_pool", lambda workers: pool)
+    yield pool
+    pool.pool.shutdown(wait=True)
+
+
+@pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
+def workers(request, monkeypatch, recording_pool):
+    """Run with one CPU or two; one CPU never touches the pool."""
+    monkeypatch.setattr(metric, "_query_workers", lambda: request.param)
+    yield request.param
+    assert bool(recording_pool.futures) == (request.param > 1)
+
+
+@pytest.mark.parametrize(("build", "pairs", "eps0", "k_max"), [
+    (build_needle, [("far", "h(p)"), ("h(p)", "far")], 0.1, 4),
+    (lambda: build_P(3), [("p1", "p2"), ("p0", "p3")], 0.1, 2),
+], ids=["needle", "P3"])
+def test_prefetched_profiles_match_the_kdtree_reference(workers, build, pairs, eps0, k_max):
+    got = np.array([p.values for p in chain_profiles(build(), pairs, eps0, k_max)])
+    assert np.array_equal(got, chain_profiles_reference(build(), pairs, eps0, k_max))
+
+
+def _fragile_model(finest: float, calls: list, failing: threading.Event) -> ContinuumModel:
+    """The segment model, whose sampler refuses pitches below ``finest``, slowly."""
+    model = _segment_model()
+
+    def sampler(delta):
+        calls.append(delta)
+        if delta < finest:
+            failing.set()
+            time.sleep(0.2)  # still running when a coarser scale fails, unless waited for
+            raise ValueError(f"pitch {delta:g} is below {finest:g}")
+        return model.refine(delta)
+
+    return dataclasses.replace(model, sampler=sampler)
+
+
+def test_a_refinement_error_surfaces_at_its_own_scale(monkeypatch, workers, recording_pool):
+    built = []
+    monkeypatch.setattr(metric, "eps_graph", lambda cloud, eps: built.append(eps) or eps_graph(cloud, eps))
+    calls = []
+    # pitches 0.04, 0.02, 0.01, 0.005, 0.0025: the fourth is refused
+    with pytest.raises(ValueError, match=re.escape("pitch 0.005 is below 0.008")):
+        chain_profiles(_fragile_model(0.008, calls, threading.Event()), [("a", "b")], 0.4, 4)
+    assert built == [0.4, 0.2, 0.1]
+    assert calls == [0.04, 0.02, 0.01, 0.005]
+    assert all(f.done() for f in recording_pool.futures)
+
+
+def test_a_refused_graph_wins_over_a_later_refinement_error(monkeypatch, workers, recording_pool):
+    monkeypatch.setattr(metric, "_MAX_EDGES", 1)
+    calls, failing = [], threading.Event()
+
+    def graph_while_refining(cloud, eps):
+        # with two workers, scale 1's failing refinement is under way when scale 0 is refused
+        assert workers == 1 or failing.wait(timeout=30)
+        return eps_graph(cloud, eps)
+
+    monkeypatch.setattr(metric, "eps_graph", graph_while_refining)
+    with pytest.raises(ValueError, match="epsilon graph would have about"):
+        chain_profiles(_fragile_model(0.03, calls, failing), [("a", "b")], 0.4, 4)
+    assert calls == [0.04, 0.02][:workers]
+    assert all(f.done() for f in recording_pool.futures)
+
+
+_FORK_AFTER_THE_POOL = """
+import os, signal, sys
+from ifscert import metric
+from ifscert.continua import build_needle
+metric._query_workers = lambda: 2
+want = metric.chain_profile(build_needle(), "far", "h(p)", 0.1, 1).values
+pid = os.fork()
+if pid == 0:  # the child has no pool threads: it must make its own
+    signal.alarm(60)  # a child left waiting on the parent's pool ends here
+    got = metric.chain_profile(build_needle(), "far", "h(p)", 0.1, 1).values
+    os._exit(0 if (got == want).all() else 1)
+_, status = os.waitpid(pid, 0)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_gets_a_pool_of_its_own():
+    run = subprocess.run([sys.executable, "-c", _FORK_AFTER_THE_POOL], env=_subprocess_env(), timeout=120)
+    assert run.returncode == 0
 
 
 def test_needle_profile_values_are_pinned_bit_for_bit():
