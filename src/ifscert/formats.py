@@ -4,18 +4,18 @@ Everything here is plain ASCII with one record per line, 17 significant
 digits for decimals, and atomic writes (write to a temp file in the target
 directory, then rename). Same input, same bytes.
 
-Model files can hold millions of vertex rows, so their text is built and
+Model files can hold millions of vertex rows, so their text is written and
 read in pieces. A write formats the rows 16,384 numbers (8,192 plane rows)
 per block with the exact ``%.17g`` kernel of ``_numtext`` (the bytes of
 Python's ``%``, which is the same C routine as ``format(x, ".17g")``) and
-joins the blocks once; ``atomic_write`` encodes its text in slices. A read
-streams the file, a regular file or a pipe alike: header records line by
-line, vertex rows ``_CHUNK_ROWS`` at a time through one
-``np.array(tokens, dtype=float)``, which parses each token with Python's
-``float``, into one array grown as each chunk parses. A chunk that fails
-the exact layout check is parsed again line by line, which gives the error
-with its ``path:line``. Memory stays bounded by one chunk plus the arrays
-and text being returned.
+streams each block, encoded in slices, into the temp file as it is made;
+the whole text is never held. A read streams the file, a regular file or
+a pipe alike: header records line by line, vertex rows ``_CHUNK_ROWS`` at
+a time through one ``np.array(tokens, dtype=float)``, which parses each
+token with Python's ``float``, into one array grown as each chunk parses.
+A chunk that fails the exact layout check is parsed again line by line,
+which gives the error with its ``path:line``. Memory stays bounded by one
+block or chunk plus the arrays being written or returned.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ def _fmt_coords(pt) -> str:
     return " ".join(_fmt(c) for c in np.asarray(pt, dtype=float).ravel())
 
 
-# vertex rows parsed at a time, and characters encoded at a time
-_CHUNK_ROWS = 1 << 16
+# vertex rows parsed at a time (a chunk of plane rows holds about 1.4 MB of
+# lines and tokens, near cache size), and characters encoded at a time
+_CHUNK_ROWS = 1 << 12
 _WRITE_SLICE = 1 << 20
 
 
@@ -53,16 +54,18 @@ def _row_blocks(rows: np.ndarray):
     return _numtext.text_chunks(" ".join(["%.17g"] * rows.shape[1]) + "\n", rows, "")
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` so readers never see a partial file."""
+def _write_pieces(path: str, pieces) -> None:
+    """Write the strings of ``pieces``, in order, to ``path`` so readers never
+    see a partial file; each piece is encoded as it comes."""
     parent = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-", text=False)
     try:
         with os.fdopen(fd, "wb") as fh:
             # UTF-8 encodes each code point alone, so the slices' bytes
             # are the whole text's bytes without one full-size copy
-            for lo in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[lo:lo + _WRITE_SLICE].encode("utf-8"))
+            for text in pieces:
+                for lo in range(0, len(text), _WRITE_SLICE):
+                    fh.write(text[lo:lo + _WRITE_SLICE].encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -70,31 +73,36 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
+def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` so readers never see a partial file."""
+    _write_pieces(path, (text,))
+
+
 # ---------------------------------------------------------------------------
 # model files
 
 
-def model_text(model: ContinuumModel | PointCloud) -> str:
+def _model_pieces(model: ContinuumModel | PointCloud):
+    """Yield the text of a model file: header records, row blocks, marked points."""
     if isinstance(model, PointCloud):
-        parts = [
-            f"dim {model.points.shape[1]}\n",
-            f"meta pitch {_fmt(model.pitch)}\n",
-            f"points cloud {len(model.points)}\n",
-        ]
-        parts += _row_blocks(model.points)
-        return "".join(parts)
-    parts = [f"dim {model.dimension}\n"]
-    parts += [f"meta {key} {model.meta[key]}\n" for key in sorted(model.meta)]
+        yield f"dim {model.points.shape[1]}\nmeta pitch {_fmt(model.pitch)}\npoints cloud {len(model.points)}\n"
+        yield from _row_blocks(model.points)
+        return
+    yield f"dim {model.dimension}\n"
+    yield "".join(f"meta {key} {model.meta[key]}\n" for key in sorted(model.meta))
     for line in model.pieces:
         head = f"polyline {line.name} {len(line.vertices)}"
-        parts.append(head + (" closed\n" if line.closed else "\n"))
-        parts += _row_blocks(line.vertices)
-    parts += [f"marked {label} {_fmt_coords(model.marked[label])}\n" for label in sorted(model.marked)]
-    return "".join(parts)
+        yield head + (" closed\n" if line.closed else "\n")
+        yield from _row_blocks(line.vertices)
+    yield "".join(f"marked {label} {_fmt_coords(model.marked[label])}\n" for label in sorted(model.marked))
+
+
+def model_text(model: ContinuumModel | PointCloud) -> str:
+    return "".join(_model_pieces(model))
 
 
 def save_model(model: ContinuumModel | PointCloud, path: str) -> None:
-    atomic_write(path, model_text(model))
+    _write_pieces(path, _model_pieces(model))
 
 
 def _built(where: str, build, *args, **kw):

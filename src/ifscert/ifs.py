@@ -360,26 +360,43 @@ def hutchinson(ifs: IfsSpec, cloud: PointCloud) -> PointCloud:
     missing): images of a pitch net stay a pitch net up to the map stretch.
     An image too far out for int64 grid keys at this pitch is refused:
     without the dedupe each step would grow the cloud by the map count.
+
+    Each cell keeps its lexicographically smallest point (the first image,
+    in map-then-point order, among equal ones), and the cells come out in
+    key order. The images and their keys are held one coordinate per row,
+    so every sort key is contiguous and the sort copies none of them.
     """
-    images = [eval_map(m, cloud.points) for m in ifs.maps]
-    allp = np.vstack(images)
+    n, dim = cloud.points.shape
+    allp = np.empty((dim, len(ifs.maps) * n))
+    for j, m in enumerate(ifs.maps):
+        allp[:, j * n:(j + 1) * n] = eval_map(m, cloud.points).T
     cell = cloud.pitch / 2
-    extent = float(np.abs(allp).max())
+    # the largest |coordinate|; a NaN image makes it NaN, which is refused
+    extent = float(max(-allp.min(), allp.max()))
     with np.errstate(over="ignore"):  # a ratio that overflows is past the limit too
         if not extent / cell < _INT_KEY_LIMIT:
             raise ValueError(f"set-map image reaches {extent:.3g}, too far out for grid cells of {cell:.3g}")
-    keys = np.round(allp / cell).astype(np.int64)
-    # group equal cells, then pick the lexicographically smallest point
-    order = np.lexsort(tuple(allp.T[::-1]) + tuple(keys.T[::-1]))
-    keys = keys[order]
-    allp = allp[order]
-    first = np.ones(len(allp), dtype=bool)
-    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    allp = allp[first]
+    # whole floats below 2^53 order and compare as their int64 values (-0.0 as 0)
+    keys = np.divide(allp, cell)
+    np.rint(keys, out=keys)
+    # group equal cells, then pick the lexicographically smallest point; each
+    # full-size temporary is dropped before the next one is made
+    order = np.lexsort(tuple(allp[::-1]) + tuple(keys[::-1]))
+    first = np.zeros(len(order), dtype=bool)
+    first[0] = True
+    for axis in range(dim):
+        ranked = keys[axis, order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+        del ranked
+    del keys
+    keep = order[first]
+    del order, first
+    # gathered through the transposed view, the kept points come out row by row
+    out = allp.T[keep]
     factors = [m.lip_bound if m.lip_bound is not None else 1.0 for m in ifs.maps]
     # a pitch is an upper bound on sample spacing, so a degenerate (all maps
     # constant) image may keep the input pitch rather than claim zero
-    return PointCloud(allp, cloud.pitch * max(max(factors), 1e-6))
+    return PointCloud(out, cloud.pitch * max(max(factors), 1e-6))
 
 
 @dataclass(frozen=True)

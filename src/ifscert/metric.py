@@ -52,8 +52,9 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 # Every this-many-th point is queried without a bound to cap the rest of a
-# Hausdorff pass (see _nearest_distances).
+# Hausdorff pass, which queries this many points at a time (see _nearest_distances).
 _CAP_STRIDE = 64
+_QUERY_BLOCK = 1 << 16
 
 # Verdict thresholds for chain profiles.
 DIVERGENCE_SLOPE = -0.15
@@ -106,14 +107,17 @@ def _nearest_distances(tree: cKDTree, points: np.ndarray) -> np.ndarray:
     point on the tree) would bound nothing, so then every point gets the
     plain query.
 
-    Queries run on every CPU this process may use; each point is answered on
-    its own, so the result does not depend on the worker count.
+    Queries run on every CPU this process may use, ``_QUERY_BLOCK`` points
+    at a time into one distance array; each point is answered on its own, so
+    the result depends on neither the worker count nor the block size.
     """
     workers = _query_workers()
     cap = tree.query(points[::_CAP_STRIDE], workers=workers)[0].max()
-    if not cap > 0:
-        return tree.query(points, workers=workers)[0]
-    dist = tree.query(points, distance_upper_bound=cap, workers=workers)[0]
+    bound = cap if cap > 0 else np.inf
+    dist = np.empty(len(points))
+    for lo in range(0, len(points), _QUERY_BLOCK):
+        block = points[lo:lo + _QUERY_BLOCK]
+        dist[lo:lo + len(block)] = tree.query(block, distance_upper_bound=bound, workers=workers)[0]
     far = np.flatnonzero(np.isinf(dist))
     dist[far] = tree.query(points[far], workers=workers)[0]
     return dist

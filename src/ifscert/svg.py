@@ -91,10 +91,13 @@ def model_svg(model: ContinuumModel | PointCloud) -> str:
         raise ValueError(f"only 2-D models can be drawn, not dimension {dim}")
     if isinstance(model, PointCloud):
         frame = _Frame(model.points)
-        pts = frame.map(model.points)
-        tail = f'" stroke="{_PALETTE[0]}" stroke-width="3" stroke-linecap="round" fill="none"/>\n</svg>\n'
+        pieces = [_HEADER, '<path d="']
+        # the canvas array lives until its last block is formatted
+        for block in _numtext.text_chunks("M%.2f,%.2f h0", frame.map(model.points), " "):
+            pieces += (block, " ")
+        pieces[-1] = f'" stroke="{_PALETTE[0]}" stroke-width="3" stroke-linecap="round" fill="none"/>\n</svg>\n'
         # one join: the dots are the bulk of the document
-        return "".join((_HEADER, '<path d="', _format_points("M%.2f,%.2f h0", pts), tail))
+        return "".join(pieces)
     stack = [line.vertices for line in model.pieces]
     if model.marked:
         stack.append(np.vstack(list(model.marked.values())))

@@ -132,6 +132,25 @@ def chaos_game(maps: list[tuple[np.ndarray, np.ndarray]], n_points: int, seed: i
     return np.vstack(out)[:n_points]
 
 
+def hutchinson_reference(images: list[np.ndarray], pitch: float) -> np.ndarray:
+    """The points one set-map step keeps of ``images``, one array per map in map order.
+
+    A point's cell is each coordinate over half the pitch, rounded by
+    Python's ``round`` (half to even). Each cell keeps its lexicographically
+    smallest point; among points that compare equal (``-0.0`` equals
+    ``0.0``) the first in map-then-point order stays. Cells come out in key
+    order.
+    """
+    cell = pitch / 2
+    best: dict[tuple[int, ...], list[float]] = {}
+    for image in images:
+        for point in image.tolist():
+            key = tuple(round(x / cell) for x in point)
+            if key not in best or point < best[key]:
+                best[key] = point
+    return np.array([best[key] for key in sorted(best)], dtype=float)
+
+
 def spectral_norm(A: np.ndarray) -> float:
     """Largest singular value, straight from numpy's SVD."""
     return float(np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)[0])

@@ -3,11 +3,12 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ifscert import formats
+from ifscert import _numtext, formats
 from ifscert.certify import Certificate
 from ifscert.continua import build_P, build_needle
 from ifscert.formats import (
@@ -275,18 +276,52 @@ def _load_three_ways(tmp_path, name: str, text: str):
 
 
 def test_files_lines_and_pipes_read_rows_alike(tmp_path):
-    n = 131_077
+    n = 2 * formats._CHUNK_ROWS + 5
     assert 2 * formats._CHUNK_ROWS < n <= 3 * formats._CHUNK_ROWS  # three chunks
     points = np.random.default_rng(5).standard_normal((n, 2))
     text = model_text(PointCloud(points, 0.25))
     for cloud in _load_three_ways(tmp_path, "good", text):
         assert isinstance(cloud, PointCloud) and cloud.pitch == 0.25
         assert cloud.points.tobytes() == points.tobytes()
-    # a bad row in the third chunk, at line 3 + 131,076
+    # a bad row in the third chunk, the last row but one, at line 3 + n - 1
     lines = text.splitlines(keepends=True)
     lines[3 + n - 2] = "1 x\n"
     errors = _load_three_ways(tmp_path, "bad", "".join(lines))
     assert errors == [f"<path>:{3 + n - 1}: bad coordinate in '1 x'"] * 3
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory that ``tracemalloc`` saw it allocate."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_model_holds_a_few_blocks_not_the_file(tmp_path):
+    # a block of 16,384 values peaks near 3.4 MiB; a writer that joins the
+    # blocks, then the text, holds twice the file
+    cloud = PointCloud(np.random.default_rng(11).standard_normal((300_000, 2)), 0.25)
+    path = tmp_path / "big.model"
+    _, peak = _traced_peak(lambda: save_model(cloud, str(path)))
+    bound = 384 * _numtext._BLOCK_VALUES  # 6 MiB
+    assert path.stat().st_size > 1.5 * bound
+    assert peak < bound
+    assert path.read_text() == model_text(cloud)
+
+
+def test_load_model_holds_its_rows_plus_one_chunk(tmp_path):
+    # a plane row of a chunk costs about 340 bytes of lines, tokens and
+    # text, so a chunk of 4,096 rows about 1.3 MiB and one of 65,536 rows
+    # about 20 MiB
+    points = np.random.default_rng(12).standard_normal((200_000, 2))
+    path = tmp_path / "big.model"
+    path.write_text(model_text(PointCloud(points, 0.25)))
+    cloud, peak = _traced_peak(lambda: load_model(str(path)))
+    assert cloud.points.tobytes() == points.tobytes()
+    assert peak < points.nbytes + 2 * 2**20
 
 
 def test_profile_csv_roundtrip_with_infinities(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,33 @@ def test_hutchinson_refuses_images_past_its_grid_keys():
     assert len(near) == 6
     with pytest.raises(ValueError, match="too far out"):
         hutchinson(f, PointCloud(np.array([[0.0, 0.0], [1e13, 0.0]]), 1e-3))
+
+
+@pytest.mark.parametrize("matrix, point", [
+    ([[1e308, 0.0], [0.0, 0.5]], [10.0, 0.0]),  # an infinite image
+    ([[1e308, 1e308], [0.0, 0.5]], [10.0, -10.0]),  # inf - inf: a NaN image
+])
+def test_hutchinson_refuses_images_past_the_float_range(matrix, point):
+    f = IfsSpec((affine_map([[0.5, 0.0], [0.0, 0.5]], [0.0, 0.0]),
+                 affine_map(matrix, [0.0, 0.0], weak_attested=True)), mode="weak")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="too far out"):
+        hutchinson(f, PointCloud(np.array([[0.0, 0.0], point]), 1e-3))
+
+
+def test_hutchinson_holds_a_small_multiple_of_its_output():
+    # no two images share a cell, so the output is every image. The images,
+    # their keys and the sort order peak near 3.1 times the output; a step
+    # that copies them whole (``|images|``, sorted keys and points) takes 5.1
+    f = _sierpinski()
+    cloud = PointCloud(np.random.default_rng(9).uniform(size=(30_000, 2)), 1e-7)
+    tracemalloc.start()
+    try:
+        out = hutchinson(f, cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 90_000
+    assert peak < 4 * out.points.nbytes
 
 
 def test_hutchinson_contracts_hausdorff():

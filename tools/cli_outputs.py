@@ -6,7 +6,10 @@ lines perfbench's ``zigzag_simple`` builds; the README's commands; the ten
 runs of acceptance criterion 10 (read from ``tests/_cli_runs.py``); the
 certificates of perfbench's ``certify_suite`` (read from the
 ``CERTIFICATES`` table of ``perfbench/workloads.py``, the seeded ones at
-seeds 0, 1 and 2); and the refusals, each of which must exit 2, of
+seeds 0, 1 and 2); the ``attractor`` and ``plot`` runs of perfbench's
+``attractor_io`` on its triangle system and seed-0 seed cloud (read from
+the same file), whose 826,688-point model spans more than 100 writer
+blocks; and the refusals, each of which must exit 2, of
 numbers past the float range that the README names, of needle pitches
 too fine, of files that break a function system's or a polyline's rules,
 of points outside a squeeze's box and of flags a command does not read (a
@@ -122,7 +125,7 @@ def groups():
     """group -> (files to write, runs); a run is (argv, file piped to stdin or None)."""
     sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
     from _cli_runs import CRITERION_10_RUNS, IFS_FILES
-    from workloads import CERTIFICATES
+    from workloads import ATTRACTOR_TOL, CERTIFICATES, TRIANGLE_IFS, AttractorIO
 
     # certify_suite: CertifySuite.setup's three runs, then each certificate of
     # CERTIFICATES, the seeded ones at seeds 0, 1 and 2
@@ -137,11 +140,20 @@ def groups():
             out = label if seed is None else f"{label}-seed{seed}"
             suite_runs.append((["certify", kind, "--ifs", f"{label}.ifs", "--model", model,
                                 *[x.format(seed=seed) for x in extra], "--out", f"{out}.cert"], None))
+    # attractor_io: the seed cloud as AttractorIO.setup writes it, at pitch 1
+    seed_rows = AttractorIO(0, "").seed_cloud()
+    seed_model = f"dim 2\nmeta pitch 1\npoints cloud {len(seed_rows)}\n" + "".join(
+        "%.17g %.17g\n" % tuple(row) for row in seed_rows)
+    large_runs = [(shlex.split(command), None) for command in [
+        f"attractor tri.ifs --tol {ATTRACTOR_TOL} --seed-cloud seed.model --out tri.model --report tri.csv",
+        "plot tri.model --out tri.svg",
+    ]]
     return {
         "builders": ({}, BUILDER_RUNS),
         "readme": ({**IFS_FILES, "reparam.ifs": FIXED_TIP}, README_RUNS),
         "criterion10": (IFS_FILES, [(argv, None) for argv in CRITERION_10_RUNS]),
         "certify_suite": ({f"{label}.ifs": text for label, text, *_ in CERTIFICATES}, suite_runs),
+        "large": ({"tri.ifs": TRIANGLE_IFS, "seed.model": seed_model}, large_runs),
         "refusals": ({**IFS_FILES, **REFUSAL_FILES}, REFUSAL_RUNS),
     }
 
