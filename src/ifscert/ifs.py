@@ -368,8 +368,9 @@ def hutchinson(ifs: IfsSpec, cloud: PointCloud) -> PointCloud:
     """
     n, dim = cloud.points.shape
     allp = np.empty((dim, len(ifs.maps) * n))
-    for j, m in enumerate(ifs.maps):
-        allp[:, j * n:(j + 1) * n] = eval_map(m, cloud.points).T
+    with np.errstate(over="ignore", invalid="ignore"):  # the extent check refuses inf and NaN
+        for j, m in enumerate(ifs.maps):
+            allp[:, j * n:(j + 1) * n] = eval_map(m, cloud.points).T
     cell = cloud.pitch / 2
     # the largest |coordinate|; a NaN image makes it NaN, which is refused
     extent = float(max(-allp.min(), allp.max()))

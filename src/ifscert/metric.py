@@ -10,11 +10,13 @@ module.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import itertools
 import math
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +46,7 @@ _MAX_EDGES = 8e7
 _MAX_EPSILON = 2.0 ** 510
 
 # Candidate pairs one worker measures at a time while the sweep builds a
-# graph; each worker has at most two chunks in flight.
+# graph; it holds at most two chunks a worker, counting the one being stitched.
 _SWEEP_CHUNK = 1 << 16
 
 # glibc's mallopt parameter numbers (malloc.h), for the pool's settings.
@@ -144,8 +146,6 @@ def _pool(workers: int):
     trim threshold at 8 MiB. Kept threads keep their arenas, and
     :func:`_release_freed_memory` hands back what the arenas hold free.
     """
-    from concurrent.futures import ThreadPoolExecutor  # a one-CPU run never pays the import
-
     libc = _glibc()
     if libc is not None:
         libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
@@ -157,35 +157,29 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's t
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _ordered_map(fn, jobs):
-    """Yield ``fn(*job)`` for each job, in order.
+def _ordered_map(fn, jobs, ahead: int):
+    """Yield ``fn(*job)`` for each job, in order, the jobs running on the pool.
 
-    With one CPU the jobs run one by one in the calling thread. Otherwise
-    they run on the pool, at most two per worker ahead of the caller, so
-    finished results never pile up; if the caller stops early, the jobs not
-    yet started are cancelled and the running ones waited for.
+    At most ``ahead`` jobs (at least one) are submitted beyond the one whose
+    result the caller holds, so finished results never pile up. A job's
+    error is raised when its turn comes, before the next job is submitted.
+    If the caller stops early, the jobs not yet started are cancelled and
+    the running ones waited for; their results and errors are dropped.
     """
-    workers = _query_workers()
-    if workers == 1:
-        yield from itertools.starmap(fn, jobs)
-        return
-    pool, pending = _pool(workers), collections.deque()
+    pool, pending = _pool(_query_workers()), collections.deque()
     try:
         for job in jobs:
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
+            if len(pending) == ahead:
+                pending[0].result()  # wait for the oldest job; its error is raised here
             pending.append(pool.submit(fn, *job))
+            if len(pending) > ahead:
+                yield pending.popleft().result()  # the frame keeps no reference to it
         while pending:
             yield pending.popleft().result()
     finally:
         for future in pending:
-            _settle(future)
-
-
-def _settle(future) -> None:
-    """Cancel ``future``, or wait for it if it is running; its result or error is dropped."""
-    if not future.cancel():
-        future.exception()
+            if not future.cancel():
+                future.exception()
 
 
 @functools.cache
@@ -378,7 +372,8 @@ def _sweep_csr(points: np.ndarray, epsilon: float, starts, lengths) -> csr_matri
     indices, data = np.empty(room, dtype=index), np.empty(room)
     measure = functools.partial(_measure_rows, points, epsilon, starts, lengths, per_row, cum)
     chunks = list(_row_chunks(cum))
-    for (r0, r1), (col, w, row_ends) in zip(chunks, _ordered_map(measure, chunks)):
+    measured = _ordered_map(measure, chunks, 2 * _query_workers() - 1)
+    for (r0, r1), (col, w, row_ends) in zip(chunks, measured):
         indptr[r0 + 1:r1 + 1] = indptr[r0] + row_ends
         if indptr[r1] > len(data):
             indices.resize(2 * indptr[r1], refcheck=False)
@@ -483,8 +478,7 @@ def _chained_distances(adjacency: csr_matrix, src: np.ndarray, dst: np.ndarray) 
     live = src != dst
     if live.any():
         sources, row = np.unique(src[live], return_inverse=True)
-        if _query_workers() > 1:
-            _release_freed_memory()
+        _release_freed_memory()
         dist = dijkstra(adjacency, directed=False, indices=sources)
         out[live] = dist[row, dst[live]]
     return out
@@ -558,8 +552,8 @@ def chain_profiles(
     Dijkstra pass from the distinct sources, so the profiles equal separate
     :func:`chain_profile` calls bit for bit.
 
-    With more than one CPU, scale ``k + 1`` is refined on the worker pool
-    while scale ``k``'s graph is built and searched in this thread. Errors
+    Scale ``k + 1`` is refined on the worker pool while scale ``k``'s graph
+    is built and searched in this thread (see :func:`_ordered_map`). Errors
     keep their serial order: a refinement's error is raised when its scale
     is reached, and an error at scale ``k`` cancels or waits out the
     pending refinement first.
@@ -576,22 +570,15 @@ def chain_profiles(
     epsilons = eps0 * 0.5 ** np.arange(k_max + 1)
     pitches = epsilons / pitch_ratio
     values = np.empty((len(ends), k_max + 1))
-    workers = _query_workers()
-    refined = None  # the pending refinement of the next scale
-    try:
-        for k, (eps, delta) in enumerate(zip(epsilons, pitches)):
-            cloud = refined.result() if refined is not None else model.refine(float(delta))
-            refined = None
-            if workers > 1 and k < k_max:
-                refined = _pool(workers).submit(_refine, model, float(pitches[k + 1]))
-            graph = eps_graph(cloud, float(eps))
+    refined = _ordered_map(_refine, [(model, float(delta)) for delta in pitches], 1)
+    with contextlib.closing(refined):
+        for k, eps in enumerate(epsilons):
+            # next(), not zip(): zip's reused result tuple would keep the cloud alive
+            graph = eps_graph(next(refined), float(eps))
             src, dst = _snapped_vertices(graph, ends)
             adjacency = graph.matrix()
-            del graph, cloud  # the search needs only the matrix: free the samples first
+            del graph  # the search needs only the matrix: free the samples first
             values[:, k] = _chained_distances(adjacency, src, dst)
-    finally:
-        if refined is not None:
-            _settle(refined)
     return [
         ChainMetricProfile(epsilons, pitches, v, *_profile_verdict(epsilons, pitches, v, k_max))
         for v in values

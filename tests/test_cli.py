@@ -509,6 +509,19 @@ def test_numeric_flags_must_be_finite_and_positive(tmp_path, halves_ifs, capfd, 
     assert not (tmp_path / "out.model").exists()
 
 
+def test_a_set_map_image_past_the_float_range_is_one_error_line(tmp_path):
+    # the second map sends x = 10 to 1e309, past the float range; numpy would warn first
+    (tmp_path / "big.ifs").write_text(
+        "dim 2\nmode weak\naffine 0.5 0 0 0.5 0 0\naffine 1e308 0 0 0.5 0 0 attested\n")
+    (tmp_path / "s.model").write_text("dim 2\npolyline a 2\n0 0\n10 0\n")
+    argv = ["certify", "fixed-set", "--ifs", "big.ifs", "--model", "s.model", "--out", "s.cert"]
+    done = subprocess.run([sys.executable, "-m", "ifscert.cli", *argv], cwd=tmp_path,
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: set-map image reaches inf, too far out for grid cells of 0.0005\n"
+    assert not (tmp_path / "s.cert").exists()
+
+
 def test_sampling_too_fine_is_one_error_line(tmp_path, capfd):
     # ceil(length / pitch) past the int64 range wrapped negative in the cast
     p_model, line, const = (str(tmp_path / name) for name in ("P.model", "l1.model", "const.ifs"))

@@ -196,7 +196,7 @@ def _assert_same_csr(got, want):
 
 
 def _one_chunk_csr(monkeypatch, points, epsilon):
-    """The sweep of ``points`` in one chunk, in the calling thread."""
+    """The sweep of ``points`` in one chunk, on one worker."""
     order, starts, lengths = metric._sweep_ranges(points, epsilon)
     with monkeypatch.context() as patch:
         patch.setattr(metric, "_SWEEP_CHUNK", 1 << 62)
@@ -403,10 +403,64 @@ def recording_pool(monkeypatch):
 
 @pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
 def workers(request, monkeypatch, recording_pool):
-    """Run with one CPU or two; one CPU never touches the pool."""
+    """Run with one CPU or two; both run their jobs on the pool."""
     monkeypatch.setattr(metric, "_query_workers", lambda: request.param)
     yield request.param
-    assert bool(recording_pool.futures) == (request.param > 1)
+    assert recording_pool.futures
+
+
+@pytest.mark.parametrize("ahead", [1, 2, 3])
+def test_ordered_map_yields_in_order_from_a_bounded_window(monkeypatch, recording_pool, ahead):
+    delays = np.random.default_rng(ahead).uniform(0, 0.01, size=12)
+
+    def job(k):
+        time.sleep(delays[k])  # a later job often finishes first
+        return k
+
+    got, window = [], []
+    submit = recording_pool.submit
+
+    def counting_submit(fn, *args):
+        future = submit(fn, *args)
+        # every future not yet taken by the caller is unfinished or waiting to be taken
+        window.append(len(recording_pool.futures) - len(got))
+        return future
+
+    monkeypatch.setattr(recording_pool, "submit", counting_submit)
+    for value in metric._ordered_map(job, [(k,) for k in range(12)], ahead):
+        got.append(value)
+    assert got == list(range(12))
+    assert max(window) == ahead + 1  # the window fills, and never overflows
+
+
+def test_closing_an_ordered_map_early_settles_every_job(recording_pool):
+    def job(k):
+        time.sleep(0.05)
+        return k
+
+    jobs = metric._ordered_map(job, [(k,) for k in range(10)], 3)
+    assert next(jobs) == 0
+    jobs.close()
+    assert len(recording_pool.futures) == 4
+    assert all(f.done() for f in recording_pool.futures)
+
+
+def test_an_ordered_map_raises_a_job_error_at_its_turn(recording_pool):
+    def job(k):
+        if k == 0:
+            time.sleep(0.1)  # job 2 fails on the other worker meanwhile
+        if k == 2:
+            raise ValueError("job 2 failed")
+        return k
+
+    got = []
+    with pytest.raises(ValueError, match="job 2 failed"):
+        for value in metric._ordered_map(job, [(k,) for k in range(8)], 3):
+            got.append(value)
+    assert got == [0, 1]
+    # jobs 3 and 4 were submitted while 0 and 1 were taken, and none after the error
+    assert len(recording_pool.futures) == 5
+    assert all(f.done() for f in recording_pool.futures)
 
 
 @pytest.mark.parametrize(("build", "pairs", "eps0", "k_max"), [
@@ -450,14 +504,14 @@ def test_a_refused_graph_wins_over_a_later_refinement_error(monkeypatch, workers
     calls, failing = [], threading.Event()
 
     def graph_while_refining(cloud, eps):
-        # with two workers, scale 1's failing refinement is under way when scale 0 is refused
-        assert workers == 1 or failing.wait(timeout=30)
+        # scale 1's failing refinement is under way when scale 0 is refused
+        assert failing.wait(timeout=30)
         return eps_graph(cloud, eps)
 
     monkeypatch.setattr(metric, "eps_graph", graph_while_refining)
     with pytest.raises(ValueError, match="epsilon graph would have about"):
         chain_profiles(_fragile_model(0.03, calls, failing), [("a", "b")], 0.4, 4)
-    assert calls == [0.04, 0.02][:workers]
+    assert calls == [0.04, 0.02]
     assert all(f.done() for f in recording_pool.futures)
 
 

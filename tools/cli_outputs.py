@@ -10,13 +10,13 @@ seeds 0, 1 and 2); the ``attractor`` and ``plot`` runs of perfbench's
 ``attractor_io`` on its triangle system and seed-0 seed cloud (read from
 the same file), whose 826,688-point model spans more than 100 writer
 blocks; and the refusals, each of which must exit 2, of
-numbers past the float range that the README names, of needle pitches
-too fine, of files that break a function system's or a polyline's rules,
-of points outside a squeeze's box and of flags a command does not read (a
-prefix of another flag, ``--seed`` off ``needle-dichotomy``, ``--map-index``
-and ``--pitch-ratio``), after the builds they read, with one squeeze
-composition on the needle that stays inside its box (exit 1,
-inconclusive). Each is ``python -m ifscert.cli``
+numbers past the float range that the README names (a set-map image
+among them), of needle pitches too fine, of files that break a function
+system's or a polyline's rules, of points outside a squeeze's box and of
+flags a command does not read (a prefix of another flag, ``--seed`` off
+``needle-dichotomy``, ``--map-index`` and ``--pitch-ratio``), after the
+builds they read, with one squeeze composition on the needle that stays
+inside its box (exit 1, inconclusive). Each is ``python -m ifscert.cli``
 in a fresh process. This script writes the function-system and model
 files the runs read.
 
@@ -80,6 +80,9 @@ REFUSAL_FILES = {
     # two pieces about 1e155 apart, whose gap's square overflows
     "far.model": "dim 2\npolyline a 2\n0 0\n1e150 0\npolyline b 2\n1e155 0\n1.0000000001e155 0\n"
                  "marked s 0 0\nmarked t 1e155 0\n",
+    # a map that sends the tip (10, 0) of the segment to 1e309, past the float range
+    "inf_image.ifs": "dim 2\nmode weak\naffine 0.5 0 0 0.5 0 0\naffine 1e308 0 0 0.5 0 0 attested\n",
+    "ten.model": "dim 2\npolyline a 2\n0 0\n10 0\n",
     # maps that break the system's rules, each named by its line
     "strict.ifs": "dim 2\naffine 1 0 0 1 0 0\n",
     "weak.ifs": "dim 2\nmode weak\naffine 2 0 0 2 0 0\n",
@@ -99,6 +102,7 @@ REFUSAL_RUNS = [(shlex.split(command), None) for command in [
     "plot huge.model --out huge.svg",
     "certify fixed-set --ifs apart.ifs --model unit.model --delta 1e200 --out apart.cert",
     "certify p-coverage --ifs far.ifs --model P.model --out far.cert",
+    "certify fixed-set --ifs inf_image.ifs --model ten.model --out inf_image.cert",
     "chain far.model s t --eps0 1e160 --kmax 2",
     # needle pitches too fine, refused before they sample; the chain refines at eps0 / 10
     "build needle --out needle.model",
