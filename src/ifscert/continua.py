@@ -148,12 +148,24 @@ def _needle_zone_points(delta: float) -> np.ndarray:
     if k_hi > k_lo:
         parts.append(1.0 / (math.pi * np.arange(k_hi, k_lo, -1, dtype=float)))
 
-    # arc-length-paced samples from x_start to 1
+    # arc-length-paced samples from x_start to 1. A band holds three arrays
+    # of its length: the xs, the wave, made in place (needle_wave bit for bit,
+    # as x > 0), whose buffer then takes the hops, and the arc length, which
+    # first holds sqrt(x) and then the wave's steps
     step = 0.8 * delta
     for lo, hi, m in bands:
         xs = np.linspace(lo, hi, math.ceil(m) + 1)
-        ys = needle_wave(xs)
-        cum = np.concatenate([[0.0], np.cumsum(np.hypot(np.diff(xs), np.diff(ys)))])
+        cum = np.sqrt(xs)
+        wave = np.divide(1.0, xs)
+        np.sin(wave, out=wave)
+        wave *= cum
+        np.subtract(wave[1:], wave[:-1], out=cum[1:])
+        hops = wave[1:]
+        np.subtract(xs[1:], xs[:-1], out=hops)
+        np.hypot(hops, cum[1:], out=hops)
+        cum[0] = 0.0
+        np.cumsum(hops, out=cum[1:])
+        del wave, hops
         marks = np.arange(0.0, cum[-1], step)
         band = np.interp(marks, cum, xs)
         parts.append(np.append(band, hi))

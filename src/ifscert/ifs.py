@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from . import continua
 from .geometry import PointCloud
-from .metric import hausdorff
+from .metric import _finite_gap, _nearest_distances, _release_freed_memory
 
 KIND_AFFINE = "affine"
 KIND_SQUEEZE = "needle_h1"
@@ -32,6 +32,8 @@ _EXPANSION_EDGE = 1.0 + 1e-9
 _IDENTITY_EDGE = 1.0 - 1e-9
 
 _INT_KEY_LIMIT = 4e15
+# below this many cells out every key rounds to at most 2**31 - 1 and fits an int32
+_INT32_KEY_LIMIT = 2.0 ** 31 - 1
 
 
 def squeeze_box(dim: int) -> np.ndarray:
@@ -359,7 +361,8 @@ def hutchinson(ifs: IfsSpec, cloud: PointCloud) -> PointCloud:
     The output pitch is ``pitch * max(lip_bound)`` (one where a bound is
     missing): images of a pitch net stay a pitch net up to the map stretch.
     An image too far out for int64 grid keys at this pitch is refused:
-    without the dedupe each step would grow the cloud by the map count.
+    without the dedupe each step would grow the cloud by the map count. The
+    keys are held as int32 where every one fits, else as whole float64s.
 
     Each cell keeps its lexicographically smallest point (the first image,
     in map-then-point order, among equal ones), and the cells come out in
@@ -377,9 +380,14 @@ def hutchinson(ifs: IfsSpec, cloud: PointCloud) -> PointCloud:
     with np.errstate(over="ignore"):  # a ratio that overflows is past the limit too
         if not extent / cell < _INT_KEY_LIMIT:
             raise ValueError(f"set-map image reaches {extent:.3g}, too far out for grid cells of {cell:.3g}")
-    # whole floats below 2^53 order and compare as their int64 values (-0.0 as 0)
-    keys = np.divide(allp, cell)
-    np.rint(keys, out=keys)
+    # whole floats below 2^53 order and compare as their integer values (-0.0
+    # as 0); int32 keys take half the room, float64 keys hold what they cannot
+    keys = np.empty(allp.shape, dtype=np.int32 if extent / cell < _INT32_KEY_LIMIT else float)
+    row = np.empty(allp.shape[1])
+    for axis in range(dim):
+        np.divide(allp[axis], cell, out=row)
+        np.rint(row, out=keys[axis], casting="unsafe")
+    del row
     # group equal cells, then pick the lexicographically smallest point; each
     # full-size temporary is dropped before the next one is made
     order = np.lexsort(tuple(allp[::-1]) + tuple(keys[::-1]))
@@ -425,16 +433,21 @@ def attractor(ifs: IfsSpec, seed_cloud: PointCloud, tol: float = 1e-3,
         raise ValueError(f"max_iter must be at least 1, not {max_iter}")
     lam = ifs.contraction_factor
     current = seed_cloud
-    # sliding-midpoint trees: each serves two queries, too few to repay median splits
-    tree = cKDTree(current.points, balanced_tree=False)
+    # sliding-midpoint trees: each serves two queries, too few to repay median
+    # splits; a cloud's points are frozen, so its tree shares them
+    tree = cKDTree(current.points, balanced_tree=False, copy_data=False)
     steps: list[float] = []
     for _ in range(max_iter):
         nxt = hutchinson(ifs, current)
-        # each cloud's tree serves two steps: as the new cloud, then as the old
-        nxt_tree = cKDTree(nxt.points, balanced_tree=False)
-        step = hausdorff(nxt, current, trees=(nxt_tree, tree))
+        _release_freed_memory()  # the step's freed temporaries, before the next tree
+        # one tree at a time: the new cloud against the old cloud's tree, which
+        # then goes; the new cloud's tree takes the reverse pass and the next step
+        far_new = _nearest_distances(tree, nxt.points).max()
+        del tree
+        tree = cKDTree(nxt.points, balanced_tree=False, copy_data=False)
+        step = _finite_gap(far_new, _nearest_distances(tree, current.points).max())
         steps.append(step)
-        current, tree = nxt, nxt_tree
+        current = nxt
         if step < tol:
             return AttractorResult(current, tuple(steps), True, step * lam / (1 - lam))
     return AttractorResult(current, tuple(steps), False, steps[-1] * lam / (1 - lam))

@@ -63,31 +63,35 @@ DIVERGENCE_SLOPE = -0.15
 CONVERGENCE_REL_STEP = 0.01
 
 
-def hausdorff(a: PointCloud, b: PointCloud, trees: tuple[cKDTree, cKDTree] | None = None,
-              witness: bool = False) -> float | tuple[float, bool, np.ndarray]:
+def hausdorff(a: PointCloud, b: PointCloud, witness: bool = False) -> float | tuple[float, bool, np.ndarray]:
     """Hausdorff distance between two clouds (exact, two nearest-neighbour passes).
 
-    ``trees`` are KD-trees over ``a.points`` and ``b.points`` built by the
-    caller, who may reuse them, balanced or not; by default both are built
-    here. With ``witness``, return ``(distance, in_a, point)``: the point
-    farthest from the other cloud, and whether it belongs to ``a`` (ties go
-    to ``a``). A gap whose square overflows is refused, not read as inf.
+    With ``witness``, return ``(distance, in_a, point)``: the point farthest
+    from the other cloud, and whether it belongs to ``a`` (ties go to
+    ``a``). A gap whose square overflows is refused, not read as inf.
 
-    Each pass is :func:`_nearest_distances`: it returns every point's exact
+    Each pass is :func:`_nearest_distances` against a KD-tree over the other
+    cloud, built for that pass alone: it returns every point's exact
     distance to the other cloud, the same floats as one unbounded query, so
-    the distance, the side and the witness are too.
+    the distance, the side and the witness are too. A cloud's points are
+    frozen, so its tree shares them.
     """
-    ta, tb = trees if trees is not None else (cKDTree(a.points), cKDTree(b.points))
-    d_ab = _nearest_distances(tb, a.points)
-    d_ba = _nearest_distances(ta, b.points)
-    gap = float(max(d_ab.max(), d_ba.max()))
-    if gap == np.inf:  # the clouds are finite, so a squared gap overflowed
-        raise ValueError("Hausdorff distance overflows: a gap's square passes the float range")
+    d_ab = _nearest_distances(cKDTree(b.points, copy_data=False), a.points)
+    d_ba = _nearest_distances(cKDTree(a.points, copy_data=False), b.points)
+    gap = _finite_gap(d_ab.max(), d_ba.max())
     if not witness:
         return gap
     in_a = bool(d_ab.max() >= d_ba.max())
     far = a.points[int(np.argmax(d_ab))] if in_a else b.points[int(np.argmax(d_ba))]
     return gap, in_a, far
+
+
+def _finite_gap(far_ab: float, far_ba: float) -> float:
+    """The Hausdorff distance from the two passes' largest distances, refused if infinite."""
+    gap = float(max(far_ab, far_ba))
+    if gap == np.inf:  # the clouds are finite, so a squared gap overflowed
+        raise ValueError("Hausdorff distance overflows: a gap's square passes the float range")
+    return gap
 
 
 def _nearest_distances(tree: cKDTree, points: np.ndarray) -> np.ndarray:

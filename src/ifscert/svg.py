@@ -92,8 +92,10 @@ def model_svg(model: ContinuumModel | PointCloud) -> str:
     if isinstance(model, PointCloud):
         frame = _Frame(model.points)
         pieces = [_HEADER, '<path d="']
-        # the canvas array lives until its last block is formatted
-        for block in _numtext.text_chunks("M%.2f,%.2f h0", frame.map(model.points), " "):
+        # each block of 8,192 points is mapped to the canvas, formatted as one piece and dropped
+        step = _numtext._BLOCK_VALUES // 2
+        for lo in range(0, len(model.points), step):
+            (block,) = _numtext.text_chunks("M%.2f,%.2f h0", frame.map(model.points[lo:lo + step]), " ")
             pieces += (block, " ")
         pieces[-1] = f'" stroke="{_PALETTE[0]}" stroke-width="3" stroke-linecap="round" fill="none"/>\n</svg>\n'
         # one join: the dots are the bulk of the document

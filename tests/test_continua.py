@@ -149,6 +149,21 @@ def test_needle_refinement_too_fine_is_refused_before_it_allocates():
     assert peak < 16 * 2**20
 
 
+def test_needle_refinement_holds_three_arrays_of_its_widest_band():
+    # at the finest README pitch the first speed band samples about 1.7 M
+    # x-values, 13.2 MiB an array; its xs, its wave (then its hops) and its
+    # arc length peak at 5.0 times the 7.9 MiB cloud, where separate diff,
+    # hypot, cumsum and concatenate copies took 8.7
+    tracemalloc.start()
+    try:
+        cloud = build_needle().refine(0.1 / 256 / 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cloud) == 518_576
+    assert peak < 6 * cloud.points.nbytes
+
+
 def test_needle_refinement_coarser_than_the_curve_is_its_coarsest_sample():
     # at pitch 2 and above every zone ends at 0.25; (delta / 4) ** 2 overflowed at 1e200
     coarse = _needle_zone_points(2.0)

@@ -35,6 +35,7 @@ from ifscert.ifs import (
     squeeze_map,
 )
 from ifscert.metric import ChainMetricProfile
+from ifscert.svg import model_svg
 
 
 def test_model_roundtrip_is_byte_identical(tmp_path):
@@ -322,6 +323,16 @@ def test_load_model_holds_its_rows_plus_one_chunk(tmp_path):
     cloud, peak = _traced_peak(lambda: load_model(str(path)))
     assert cloud.points.tobytes() == points.tobytes()
     assert peak < points.nbytes + 2 * 2**20
+
+
+def test_model_svg_of_a_cloud_holds_its_text_not_a_canvas_array():
+    # the pieces and the one join are twice the document; a canvas array of
+    # the whole cloud (16 bytes a point against about 18 of text) beside the
+    # pieces took 2.11 times
+    cloud = PointCloud(np.random.default_rng(13).uniform(size=(200_000, 2)), 1e-3)
+    svg, peak = _traced_peak(lambda: model_svg(cloud))
+    assert len(svg) > 3 * 2**20
+    assert peak < 2.05 * len(svg)
 
 
 def test_profile_csv_roundtrip_with_infinities(tmp_path):

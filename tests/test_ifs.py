@@ -1,9 +1,12 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from ifscert import ifs
 from ifscert.continua import build_needle, needle_wave
 from ifscert.geometry import PointCloud
 from ifscert.ifs import (
@@ -254,8 +257,9 @@ def test_hutchinson_refuses_images_past_the_float_range(matrix, point):
 
 def test_hutchinson_holds_a_small_multiple_of_its_output():
     # no two images share a cell, so the output is every image. The images,
-    # their keys and the sort order peak near 3.1 times the output; a step
-    # that copies them whole (``|images|``, sorted keys and points) takes 5.1
+    # their int32 keys and the sort order peak near 2.6 times the output;
+    # float64 keys took 3.1, and a step that copies them whole (``|images|``,
+    # sorted keys and points) takes 5.1
     f = _sierpinski()
     cloud = PointCloud(np.random.default_rng(9).uniform(size=(30_000, 2)), 1e-7)
     tracemalloc.start()
@@ -265,7 +269,7 @@ def test_hutchinson_holds_a_small_multiple_of_its_output():
     finally:
         tracemalloc.stop()
     assert len(out) == 90_000
-    assert peak < 4 * out.points.nbytes
+    assert peak < 2.8 * out.points.nbytes
 
 
 def test_hutchinson_contracts_hausdorff():
@@ -324,6 +328,36 @@ def test_attractor_matches_chaos_game():
     pairs = [(np.array(m.matrix), np.array(m.offset)) for m in f.maps]
     sample = chaos_game(pairs, 400000, seed=123)
     assert hausdorff(result.cloud, PointCloud(sample, tol)) < 2e-3
+
+
+def test_attractor_holds_one_kdtree_at_a_time_over_its_cloud(monkeypatch):
+    # the old cloud's tree is gone before the new cloud's is built, and each
+    # tree shares its cloud's frozen points; the steps stay the Hausdorff
+    # distances between successive clouds
+    trees, live_at_build, shared = [], [], []
+
+    class Recording(cKDTree):
+        def __init__(self, data, **kwargs):
+            live_at_build.append(sum(ref() is not None for ref in trees))
+            super().__init__(data, **kwargs)
+            shared.append(np.shares_memory(self.data, data))
+            trees.append(weakref.ref(self))
+
+    monkeypatch.setattr(ifs, "cKDTree", Recording)
+    f = _sierpinski()
+    seed = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]), 2e-3)
+    result = attractor(f, seed, tol=2e-3)
+    assert len(trees) == len(result.steps) + 1
+    assert live_at_build == [0] * len(trees)
+    assert all(shared)
+    monkeypatch.undo()
+    from ifscert.metric import hausdorff
+
+    clouds = [seed]
+    for _ in result.steps:
+        clouds.append(hutchinson(f, clouds[-1]))
+    assert list(result.steps) == [hausdorff(b, a) for a, b in zip(clouds, clouds[1:])]
+    assert result.cloud.points.tobytes() == clouds[-1].points.tobytes()
 
 
 def test_attractor_refuses_weak_mode():

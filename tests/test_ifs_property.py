@@ -10,6 +10,12 @@ beside ``0.0``: the squeeze keeps ``x1`` as it is and scales the rest by
 ``x1``, so a point with ``x1 = -0.0`` has an image of signed zeros that ties
 with the image of its ``0.0`` twin. Both must give the same points, in the
 same order, bit for bit.
+
+The set map holds its keys as int32 while ``extent / cell`` stays below
+``2**31 - 1``, and as float64 past it. The cell ``2**-31`` puts a cloud
+that reaches 1 just past that line and one that stops short of it just
+below, with keys near the int32 limit; at the cell ``1e-10`` every key of a
+point beyond 0.215 is past it.
 """
 
 import numpy as np
@@ -26,7 +32,7 @@ from _oracles import hutchinson_reference
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
-CELLS = [0.25, 0.125, 0.1, 0.3]
+CELLS = [0.25, 0.125, 0.1, 0.3, 2.0 ** -31, 1e-10]
 
 
 def _affine(scale, shift):
@@ -72,6 +78,10 @@ def steps(draw):
 @example(step=(2, 0.25, [(0.375, 0.125), (0.125, -0.375), (0.0, 0.0)], ["identity", "half-shifted"]))
 # (0.5, 0) under "half" and (0, 0) under "half-shifted" are one image from two maps
 @example(step=(2, 0.1, [(0.5, 0.0), (0.0, 0.0)], ["half", "half-shifted"]))
+# extent / cell = 2**31 - 1.5: int32 keys, which reach 2**31 - 2 and, after negation, -(2**31 - 2)
+@example(step=(1, 2.0 ** -31, [(1 - 3 * 2.0 ** -32,), (0.5,)], ["identity", "negation"]))
+# extent / cell = 2**31: float64 keys, beside a point whose key rounds to 2**31 - 2
+@example(step=(1, 2.0 ** -31, [(1.0,), (1 - 3 * 2.0 ** -32,)], ["identity", "negation"]))
 def test_hutchinson_matches_the_plain_dedupe(step):
     dim, cell, points, names = step
     points = np.array(points, dtype=float).reshape(-1, dim)

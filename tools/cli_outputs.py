@@ -9,7 +9,9 @@ certificates of perfbench's ``certify_suite`` (read from the
 seeds 0, 1 and 2); the ``attractor`` and ``plot`` runs of perfbench's
 ``attractor_io`` on its triangle system and seed-0 seed cloud (read from
 the same file), whose 826,688-point model spans more than 100 writer
-blocks; and the refusals, each of which must exit 2, of
+blocks, and two set-map steps on a seed cloud near 1e4 at pitch 1e-6, whose
+grid keys pass the int32 range and take the set map's float64 path; and
+the refusals, each of which must exit 2, of
 numbers past the float range that the README names (a set-map image
 among them), of needle pitches too fine, of files that break a function
 system's or a polyline's rules, of points outside a squeeze's box and of
@@ -67,6 +69,12 @@ BUILDER_RUNS = [(shlex.split(command), None) for command in [
     "build zigzag --n 7 --out l7.model",
     "build P --n-max 7 --out P7.model",
 ]]
+
+# a seed cloud whose set-map images stay near 1e4, fine enough that the
+# half-pitch grid keys pass the int32 range; the second point's images share
+# cells with the first's
+WIDE_SEED_MODEL = ("dim 2\nmeta pitch 1e-6\npoints cloud 5\n10000 10000\n10000.0000001 10000.0000001\n"
+                   "10000.000001 9999.9999995\n-9999.25 10000.5\n12345.678901 -8765.4321\n")
 
 # numbers past the float range, each refused with exit 2 and one error line
 REFUSAL_FILES = {
@@ -151,13 +159,16 @@ def groups():
     large_runs = [(shlex.split(command), None) for command in [
         f"attractor tri.ifs --tol {ATTRACTOR_TOL} --seed-cloud seed.model --out tri.model --report tri.csv",
         "plot tri.model --out tri.svg",
+        # keys near 1e4 / 5e-7 = 2e10 cells: past int32 (exit 1, not converged)
+        "attractor halves.ifs --seed-cloud wide.model --max-iter 2 --out wide_out.model --report wide.csv",
     ]]
     return {
         "builders": ({}, BUILDER_RUNS),
         "readme": ({**IFS_FILES, "reparam.ifs": FIXED_TIP}, README_RUNS),
         "criterion10": (IFS_FILES, [(argv, None) for argv in CRITERION_10_RUNS]),
         "certify_suite": ({f"{label}.ifs": text for label, text, *_ in CERTIFICATES}, suite_runs),
-        "large": ({"tri.ifs": TRIANGLE_IFS, "seed.model": seed_model}, large_runs),
+        "large": ({"tri.ifs": TRIANGLE_IFS, "seed.model": seed_model, "halves.ifs": IFS_FILES["halves.ifs"],
+                   "wide.model": WIDE_SEED_MODEL}, large_runs),
         "refusals": ({**IFS_FILES, **REFUSAL_FILES}, REFUSAL_RUNS),
     }
 
