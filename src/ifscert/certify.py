@@ -119,7 +119,11 @@ def _require_P(model: ContinuumModel) -> int:
     """The scale count of a zigzag-union model; raise for any other model."""
     if model.meta.get("kind") != "P":
         raise ValueError("model is not a zigzag union (missing 'kind' metadata)")
-    n_max = int(model.meta.get("n_max", len(model.pieces)))
+    raw = model.meta.get("n_max", str(len(model.pieces)))
+    try:
+        n_max = int(raw)
+    except ValueError:
+        raise ValueError(f"meta n_max: {raw!r} is not a valid int") from None
     if n_max != len(model.pieces):
         raise ValueError("piece count does not match the recorded n_max")
     missing = [f"p{n}" for n in range(1, n_max + 1) if f"p{n}" not in model.marked]

@@ -30,7 +30,6 @@ DEFAULT_SHARPNESS = 100.0
 _RADIAL_INNER = 0.1
 _RADIAL_OUTER = 0.9
 _ANGULAR_FILL = 0.8
-_TRIM_FLOOR = 0.02
 
 ZIGZAG_MAX_N = 12
 _LENGTH_TOL = 1e-9  # relative error allowed in a zigzag line's length 2**n
@@ -233,43 +232,45 @@ def _zigzag_total(M: int, t: float, lay: dict) -> float:
     return base + 2 * abs(t - lay["r_lo"]) + 2 * t * math.sin(dtheta / 2)
 
 
+def _zigzag_teeth(lay: dict, target: float) -> tuple[int, float]:
+    """Tooth count and trimmed peak radius t of the zigzag of length ``target``.
+
+    The length grows with t, and for every n in 1..ZIGZAG_MAX_N it is short
+    of ``target`` at ``r_lo`` and past it at ``r_hi``: one bisection finds t.
+    """
+    M = max(5, int(math.ceil(target / (lay["r_hi"] - lay["r_lo"]))) | 1)
+    a, b = lay["r_lo"], lay["r_hi"]
+    for _ in range(200):
+        t = 0.5 * (a + b)
+        excess = _zigzag_total(M, t, lay) - target
+        if abs(excess) <= 0.25 * _LENGTH_TOL * target:
+            break
+        if excess > 0:
+            b = t
+        else:
+            a = t
+    return M, t
+
+
 def build_zigzag_ln(n: int) -> Polyline:
     """Broken line of length ``2**n`` inside the wedge at angle ``2**-n``.
 
     Radial teeth alternate between an inner and an outer ring at strictly
-    increasing angles; one middle tooth is trimmed (or pushed inward) so the
-    total length hits ``2**n`` within ``_LENGTH_TOL`` relative error. The
-    result starts at the origin and ends at radius ``2**-n`` on the wedge
-    bisector ray.
+    increasing angles. The tooth count is ``M = max(5, ceil(2**n / leg) | 1)``,
+    with ``leg`` the gap between the rings; one middle tooth is trimmed, by
+    bisection on its peak radius, so the total length hits ``2**n`` within
+    ``_LENGTH_TOL`` relative error. The result starts at the origin and ends
+    at radius ``2**-n`` on the wedge bisector ray.
     """
     if not 1 <= n <= ZIGZAG_MAX_N:
         raise ValueError(f"n must be between 1 and {ZIGZAG_MAX_N}")
     lay = _zigzag_layout(n)
     target = 2.0 ** n
-    leg = lay["r_hi"] - lay["r_lo"]
-
-    M = max(5, int(math.ceil((target / leg))) | 1)
-    while M >= 7 and _zigzag_total(M - 2, lay["r_hi"], lay) >= target * (1 + 1e-12):
-        M -= 2
-    for _ in range(8):
-        if _zigzag_total(M, lay["r_hi"], lay) >= target:
-            break
-        M += 2
-    else:
-        raise RuntimeError("tooth count search failed")
-
-    t_floor = _TRIM_FLOOR * lay["scale"]
-    t = _solve_trim(M, target, lay, t_floor)
-    if t is None:
-        M += 2
-        t = _solve_trim(M, target, lay, t_floor)
-        if t is None:
-            raise RuntimeError("trim radius search failed")
+    M, t = _zigzag_teeth(lay, target)
 
     j_star = M // 2
     if j_star % 2 == 0:
         j_star -= 1
-    j_star = min(max(j_star, 1), M - 2)
 
     dtheta = lay["width"] / (M - 1)
     thetas = (lay["theta_c"] - lay["width"]) + dtheta * np.arange(M)
@@ -295,35 +296,6 @@ def build_zigzag_ln(n: int) -> Polyline:
     if err > _LENGTH_TOL * target:
         raise RuntimeError(f"length missed target by {err:g}")
     return line
-
-
-def _solve_trim(M: int, target: float, lay: dict, t_floor: float):
-    def excess(t: float) -> float:
-        return _zigzag_total(M, t, lay) - target
-
-    hi = excess(lay["r_hi"])
-    if abs(hi) <= 0.25 * _LENGTH_TOL * target:
-        return lay["r_hi"]
-    if hi < 0:
-        return None
-    if excess(lay["r_lo"]) <= 0:
-        a, b = lay["r_lo"], lay["r_hi"]
-        increasing = True
-    elif excess(t_floor) <= 0:
-        a, b = t_floor, lay["r_lo"]
-        increasing = False
-    else:
-        return None
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        e = excess(mid)
-        if abs(e) <= 0.25 * _LENGTH_TOL * target:
-            return mid
-        if (e > 0) == increasing:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
 
 
 def build_P(n_max: int) -> ContinuumModel:

@@ -533,14 +533,13 @@ def chain_profile(
     y,
     eps0: float,
     k_max: int,
-    pitch_ratio: float = 10.0,
 ) -> ChainMetricProfile:
     """Chain values between two points of ``model`` at hop bounds ``eps0 * 2**-k``.
 
-    Each entry resamples the model at pitch ``eps_k / pitch_ratio``. ``x`` and
-    ``y`` may be marked labels or coordinates.
+    Each entry resamples the model at pitch ``eps_k / 10``. ``x`` and ``y``
+    may be marked labels or coordinates.
     """
-    return chain_profiles(model, [(x, y)], eps0, k_max, pitch_ratio)[0]
+    return chain_profiles(model, [(x, y)], eps0, k_max)[0]
 
 
 def chain_profiles(
@@ -548,7 +547,6 @@ def chain_profiles(
     pairs,
     eps0: float,
     k_max: int,
-    pitch_ratio: float = 10.0,
 ) -> list[ChainMetricProfile]:
     """One :func:`chain_profile` per ``(x, y)`` pair, all over one schedule.
 
@@ -564,15 +562,10 @@ def chain_profiles(
     """
     if not (0 < eps0 < math.inf) or k_max < 0:
         raise ValueError("need a finite eps0 > 0 and k_max >= 0")
-    if not (_MIN_HOP_PITCHES <= pitch_ratio < math.inf):
-        raise ValueError(
-            f"pitch_ratio must be finite and at least {_MIN_HOP_PITCHES:g}, "
-            "the reliable hop resolution"
-        )
     ends = np.array([[model.resolve(x), model.resolve(y)] for x, y in pairs], dtype=float)
     ends = ends.reshape(-1, 2, model.dimension)
     epsilons = eps0 * 0.5 ** np.arange(k_max + 1)
-    pitches = epsilons / pitch_ratio
+    pitches = epsilons / 10
     values = np.empty((len(ends), k_max + 1))
     refined = _ordered_map(_refine, [(model, float(delta)) for delta in pitches], 1)
     with contextlib.closing(refined):
@@ -598,7 +591,6 @@ def _refine(model: ContinuumModel, delta: float) -> PointCloud:
 
 def _profile_verdict(epsilons, pitches, values, k_max):
     window = max(2, math.ceil(k_max / 2)) if k_max >= 1 else 1
-    window = min(window, len(values))
     ve = epsilons[-window:]
     vp = pitches[-window:]
     vv = values[-window:]

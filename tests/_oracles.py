@@ -243,28 +243,75 @@ def segments_meet_off_origin(p1, q1, p2, q2) -> bool:
     return _orientation(origin, a, b) == 0 and a[0] * b[0] + a[1] * b[1] > 0
 
 
+def zigzag_teeth_reference(n: int) -> tuple[int, float]:
+    """Tooth count and trim radius of ``l_n`` by a full search.
+
+    The tooth count steps down by two while a line with fewer teeth still
+    reaches ``2**n`` untrimmed, and up by two until it does. The trim
+    radius is then solved three ways: exact at the outer radius, by
+    bisection on ``[r_lo, r_hi]`` when the line is short at ``r_lo``, or
+    by bisection on ``[0.02 * 2**-n, r_lo]``, pushing the tooth inward;
+    when none applies, the search retries with two more teeth. Only the
+    layout and the closed-form length come from the builder.
+    """
+    from ifscert import continua
+
+    lay = continua._zigzag_layout(n)
+    target = 2.0 ** n
+    tol = 0.25 * continua._LENGTH_TOL * target
+
+    def total(M, t):
+        return continua._zigzag_total(M, t, lay)
+
+    def solve_trim(M):
+        hi = total(M, lay["r_hi"]) - target
+        if abs(hi) <= tol:
+            return lay["r_hi"]
+        if hi < 0:
+            return None
+        t_floor = 0.02 * lay["scale"]
+        if total(M, lay["r_lo"]) - target <= 0:
+            a, b, increasing = lay["r_lo"], lay["r_hi"], True
+        elif total(M, t_floor) - target <= 0:
+            a, b, increasing = t_floor, lay["r_lo"], False
+        else:
+            return None
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            e = total(M, mid) - target
+            if abs(e) <= tol:
+                return mid
+            if (e > 0) == increasing:
+                b = mid
+            else:
+                a = mid
+        return 0.5 * (a + b)
+
+    M = max(5, int(math.ceil(target / (lay["r_hi"] - lay["r_lo"]))) | 1)
+    while M >= 7 and total(M - 2, lay["r_hi"]) >= target * (1 + 1e-12):
+        M -= 2
+    while total(M, lay["r_hi"]) < target:
+        M += 2
+    t = solve_trim(M)
+    if t is None:
+        M += 2
+        t = solve_trim(M)
+    return M, t
+
+
 def zigzag_vertices_per_tooth(n: int) -> np.ndarray:
     """The vertices of ``build_zigzag_ln(n)``, interleaved one tooth at a time.
 
-    The same tooth count, trim radius and angles as the builder, from the
-    same private helpers; the inner and outer vertices of each tooth are
-    then placed by a Python loop in travel direction.
+    The tooth count and trim radius come from :func:`zigzag_teeth_reference`
+    and the layout from the builder's private helper; the inner and outer
+    vertices of each tooth are then placed by a Python loop in travel
+    direction.
     """
     from ifscert import continua
     from ifscert.geometry import polar_to_cartesian
 
     lay = continua._zigzag_layout(n)
-    target = 2.0 ** n
-    M = max(5, int(math.ceil(target / (lay["r_hi"] - lay["r_lo"]))) | 1)
-    while M >= 7 and continua._zigzag_total(M - 2, lay["r_hi"], lay) >= target * (1 + 1e-12):
-        M -= 2
-    while continua._zigzag_total(M, lay["r_hi"], lay) < target:
-        M += 2
-    t_floor = continua._TRIM_FLOOR * lay["scale"]
-    t = continua._solve_trim(M, target, lay, t_floor)
-    if t is None:
-        M += 2
-        t = continua._solve_trim(M, target, lay, t_floor)
+    M, t = zigzag_teeth_reference(n)
     j_star = M // 2
     if j_star % 2 == 0:
         j_star -= 1

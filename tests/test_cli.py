@@ -161,7 +161,9 @@ def test_build_P_at_n_max_7_exits_0(tmp_path):
     # only the default needle has a sampler to rebuild; the base is refused first
     ("needle-dichotomy", "meta kind needle\nmeta base custom\n",
      "only default-base needle files can be rebuilt"),
-], ids=["p-coverage", "needle-dichotomy", "needle-custom-base"])
+    # the recorded scale count is read before the tips it names
+    ("p-coverage", "meta kind P\nmeta n_max abc\n", "meta n_max: 'abc' is not a valid int"),
+], ids=["p-coverage", "needle-dichotomy", "needle-custom-base", "p-coverage-n-max"])
 def test_certificates_name_a_missing_marked_point(tmp_path, capfd, kind, meta, message):
     # one polyline and a marked point other than the one the certificate reads
     model = tmp_path / "m.model"

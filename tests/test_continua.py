@@ -6,6 +6,8 @@ import pytest
 
 from ifscert.continua import (
     _needle_zone_points,
+    _zigzag_layout,
+    _zigzag_teeth,
     build_needle,
     build_P,
     build_zigzag_ln,
@@ -21,7 +23,12 @@ from ifscert.certify import needle_dichotomy_check, p_point_coverage
 from ifscert.geometry import ContinuumModel, Polyline, polar_to_cartesian, polyline_length, self_intersects
 from ifscert.ifs import IfsSpec, affine_map
 
-from _oracles import mp_needle_point, segments_meet_off_origin, zigzag_vertices_per_tooth
+from _oracles import (
+    mp_needle_point,
+    segments_meet_off_origin,
+    zigzag_teeth_reference,
+    zigzag_vertices_per_tooth,
+)
 
 
 # --- the oscillating wave -------------------------------------------------
@@ -209,6 +216,14 @@ def test_zigzag_vertices_match_the_per_tooth_interleave(n):
     got = build_zigzag_ln(n).vertices
     want = zigzag_vertices_per_tooth(n)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_zigzag_teeth_match_the_full_search(n):
+    # the tooth count and trim alone: l11 and l12 run to tens of millions of vertices
+    M, t = _zigzag_teeth(_zigzag_layout(n), 2.0**n)
+    want_M, want_t = zigzag_teeth_reference(n)
+    assert (M, t.hex()) == (want_M, want_t.hex())
 
 
 def test_zigzag_endpoints_and_confinement():

@@ -360,10 +360,10 @@ def _marked_path_model() -> ContinuumModel:
 ])
 def test_chain_profiles_equal_separate_profiles(pairs):
     model = _marked_path_model()
-    together = chain_profiles(model, pairs, 0.05, 4, pitch_ratio=8.0)
+    together = chain_profiles(model, pairs, 0.05, 4)
     assert len(together) == len(pairs)
     for (x, y), got in zip(pairs, together):
-        alone = chain_profile(model, x, y, 0.05, 4, pitch_ratio=8.0)
+        alone = chain_profile(model, x, y, 0.05, 4)
         assert np.array_equal(got.values, alone.values)
         assert np.array_equal(got.epsilons, alone.epsilons)
         assert np.array_equal(got.pitches, alone.pitches)
@@ -545,11 +545,11 @@ def test_needle_profile_values_are_pinned_bit_for_bit():
 
 @pytest.mark.parametrize("kwargs", [
     {"eps0": math.nan}, {"eps0": math.inf}, {"eps0": 0.0},
-    {"pitch_ratio": math.nan}, {"pitch_ratio": math.inf}, {"pitch_ratio": 2.0},
+    {"k_max": -1}, {"eps0": -1.0}, {"eps0": -math.inf},
 ])
 def test_chain_profiles_reject_bad_schedules(kwargs):
-    args = {"eps0": 0.02, "k_max": 2, "pitch_ratio": 10.0, **kwargs}
-    with pytest.raises(ValueError, match="eps0|pitch_ratio"):
+    args = {"eps0": 0.02, "k_max": 2, **kwargs}
+    with pytest.raises(ValueError, match="eps0"):
         chain_profiles(_segment_model(), [("a", "b")], **args)
 
 

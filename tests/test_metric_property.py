@@ -172,14 +172,13 @@ def polyline_models(draw, dims=st.sampled_from([2, 3])):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(polyline_models(), st.sampled_from([0.1, 0.2, 0.35]), st.integers(0, 3),
-       st.sampled_from([3.0, 10.0]))
-def test_chain_profiles_match_the_kdtree_reference(model, eps0, k_max, pitch_ratio):
+@given(polyline_models(), st.sampled_from([0.1, 0.2, 0.35]), st.integers(0, 3))
+def test_chain_profiles_match_the_kdtree_reference(model, eps0, k_max):
     pairs = [("a", "b"), ("c", "a"), ("b", "b")]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = np.array([p.values for p in chain_profiles(model, pairs, eps0, k_max, pitch_ratio)])
-    want = chain_profiles_reference(model, pairs, eps0, k_max, pitch_ratio)
+        got = np.array([p.values for p in chain_profiles(model, pairs, eps0, k_max)])
+    want = chain_profiles_reference(model, pairs, eps0, k_max)
     assert np.array_equal(got, want)
 
 
@@ -189,8 +188,8 @@ def test_chain_profiles_match_the_kdtree_reference_in_high_dimensions(model, eps
     pairs = [("a", "b"), ("c", "a")]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = np.array([p.values for p in chain_profiles(model, pairs, eps0, k_max, 3.0)])
-    assert np.array_equal(got, chain_profiles_reference(model, pairs, eps0, k_max, 3.0))
+        got = np.array([p.values for p in chain_profiles(model, pairs, eps0, k_max)])
+    assert np.array_equal(got, chain_profiles_reference(model, pairs, eps0, k_max))
 
 
 def test_needle_profile_matches_the_kdtree_reference():

@@ -14,8 +14,9 @@ grid keys pass the int32 range and take the set map's float64 path; and
 the refusals, each of which must exit 2, of
 numbers past the float range that the README names (a set-map image
 among them), of needle pitches too fine, of files that break a function
-system's or a polyline's rules, of points outside a squeeze's box and of
-flags a command does not read (a prefix of another flag, ``--seed`` off
+system's or a polyline's rules, of a zigzag union whose ``meta n_max`` is
+not a number, of points outside a squeeze's box and of flags a command
+does not read (a prefix of another flag, ``--seed`` off
 ``needle-dichotomy``, ``--map-index`` and ``--pitch-ratio``), after the
 builds they read, with one squeeze composition on the needle that stays
 inside its box (exit 1, inconclusive). Each is ``python -m ifscert.cli``
@@ -97,6 +98,8 @@ REFUSAL_FILES = {
     "redim.ifs": "affine 0.5 0 0 0.5 0 0\ndim 1\n",
     # a polyline whose two vertices are one point
     "repeat.model": "dim 2\npolyline a 2\n0 0\n0 0\n",
+    # a zigzag union whose recorded scale count is not a number
+    "n_max.model": "dim 2\nmeta kind P\nmeta n_max abc\npolyline a 2\n0 0\n1 0\nmarked p1 1 0\n",
     # a squeeze acts on [0, 1] x [-1, 1]; the segment to (2, 0) leaves it
     "squeeze.ifs": "dim 2\nmode weak\nneedle_h1 100 attested\n",
     "long.model": "dim 2\npolyline a 2\n0 0\n2 0\n",
@@ -121,6 +124,7 @@ REFUSAL_RUNS = [(shlex.split(command), None) for command in [
     "attractor weak.ifs --out weak.model",
     "attractor redim.ifs --out redim.model",
     "plot repeat.model --out repeat.svg",
+    "certify p-coverage --ifs const.ifs --model n_max.model --out n_max.cert",
     "certify fixed-set --ifs squeeze.ifs --model long.model --out squeeze.cert",
     "certify needle-dichotomy --ifs needle_h.ifs --model needle.model --classify-pairs 0 --out needle_h.cert",
     # flags the command does not read, none of them taken as a prefix of another
