@@ -49,11 +49,17 @@ def _check_numeric_flags(args) -> None:
             raise ValueError(f"{dest} must be at least 0 (--{dest.replace('_', '-')} {value})")
 
 
-def _parse_point(text: str) -> str | np.ndarray:
+def _parse_point(text: str, name: str) -> str | np.ndarray:
     """A label stays a label; comma-separated numbers become a point."""
-    if "," not in text:
-        return text
-    return np.array([float(p) for p in text.split(",")])
+    return text if "," not in text else _numbers(text, name)
+
+
+def _numbers(text: str, name: str) -> np.ndarray:
+    """The comma-separated numbers of ``text``, or an error that names the argument."""
+    try:
+        return np.array([float(p) for p in text.split(",")])
+    except ValueError:
+        raise ValueError(f"{name} needs comma-separated numbers, not {text}") from None
 
 
 def _say(args, message: str) -> None:
@@ -100,8 +106,8 @@ def _cmd_chain(args) -> int:
         raise ValueError("chain profiles need a polyline model, not a point cloud")
     profile = metric.chain_profile(
         model,
-        _parse_point(args.src),
-        _parse_point(args.dst),
+        _parse_point(args.src, "src"),
+        _parse_point(args.dst, "dst"),
         args.eps0,
         args.kmax,
     )
@@ -118,7 +124,7 @@ def _cmd_chain(args) -> int:
 
 
 def _seed_cloud_from_box(box_text: str, dim: int, pitch: float) -> PointCloud:
-    vals = [float(v) for v in box_text.split(",")]
+    vals = _numbers(box_text, "--box")
     if len(vals) != 2 * dim:
         raise ValueError(f"--box needs {2 * dim} comma-separated numbers for dimension {dim}")
     if not all(map(math.isfinite, vals)):
@@ -171,6 +177,8 @@ def _cmd_certify(args) -> int:
         cert = certify.fixed_set_check(system, model, args.delta)
     elif args.kind == "p-coverage":
         cert = certify.p_point_coverage(system, model, args.delta)
+    elif len(system.maps) != 1:
+        raise ValueError(f"{args.ifs}: needle-dichotomy certifies one map, and this system has {len(system.maps)}")
     else:
         cert = certify.needle_dichotomy_check(
             system.maps[0],

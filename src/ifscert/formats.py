@@ -273,9 +273,9 @@ def load_model(path: str, lines=None) -> ContinuumModel | PointCloud:
     if point_blocks and pieces:
         raise ValueError(f"{path}: mixed polyline and points sections are not supported")
     if point_blocks:
-        pitch = _number(meta.get("pitch", "0"), f"{path}: meta pitch") or None
-        if pitch is None:
+        if "pitch" not in meta:
             raise ValueError(f"{path}: point files need a 'meta pitch' record")
+        pitch = _number(meta["pitch"], wheres["pitch"])
         _built(wheres["pitch"], positive_pitch, pitch)
         points = point_blocks[0] if len(point_blocks) == 1 else _built(wheres["dim"], np.vstack, point_blocks)
         return _built(path, PointCloud, points, pitch)

@@ -9,7 +9,6 @@ module.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import itertools
@@ -35,9 +34,9 @@ _SNAP_SLACK = 1.000001
 # Edge budget for a single neighbour graph. The kept graph costs 12 bytes an
 # edge (an int32 column index and a float64 weight), about 1 GB at the
 # budget. The sweep writes kept edges straight into those arrays, so a build
-# adds only its per-point ranges and at most two chunks of candidates per
-# worker: 13 bytes an edge in all at the needle's finest README scale. A
-# query's Dijkstra pass adds the transpose, another 12.
+# adds only its per-point ranges and one chunk of candidates: 13 bytes an
+# edge in all at the needle's finest README scale. A query's Dijkstra pass
+# adds the transpose, another 12.
 _MAX_EDGES = 8e7
 
 # The largest hop bound a graph takes. Every hop it keeps is shorter, so the
@@ -45,8 +44,7 @@ _MAX_EDGES = 8e7
 # overflows is longer than the bound, and rightly dropped.
 _MAX_EPSILON = 2.0 ** 510
 
-# Candidate pairs one worker measures at a time while the sweep builds a
-# graph; it holds at most two chunks a worker, counting the one being stitched.
+# Candidate pairs measured at a time while the sweep builds a graph.
 _SWEEP_CHUNK = 1 << 16
 
 # glibc's mallopt parameter numbers (malloc.h), for the pool's settings.
@@ -138,48 +136,48 @@ def _query_workers() -> int:
 
 
 @functools.cache
-def _pool(workers: int):
-    """The process's pool of ``workers`` threads, made on first use and then kept.
+def _pool():
+    """The process's one worker thread, made on first use and then kept.
 
     glibc gives each thread that allocates a malloc arena of its own, and
     keeps an arena's free top resident up to its trim threshold, which
     grows to 64 MiB as large blocks are freed. The calling thread cannot
-    reuse what the workers' arenas keep, a refinement's temporaries above
-    all, so before its threads start the pool fixes glibc's thresholds:
+    reuse what the worker's arena keeps, a refinement's temporaries above
+    all, so before its thread starts the pool fixes glibc's thresholds:
     the mmap threshold at 32 MiB, the ceiling it grows to anyway, and the
-    trim threshold at 8 MiB. Kept threads keep their arenas, and
+    trim threshold at 8 MiB. The kept thread keeps its arena, and
     :func:`_release_freed_memory` hands back what the arenas hold free.
     """
     libc = _glibc()
     if libc is not None:
         libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
         libc.mallopt(_M_TRIM_THRESHOLD, 8 << 20)
-    return ThreadPoolExecutor(workers, thread_name_prefix="ifscert")
+    return ThreadPoolExecutor(1, thread_name_prefix="ifscert")
 
 
 if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _ordered_map(fn, jobs, ahead: int):
+def _ordered_map(fn, jobs):
     """Yield ``fn(*job)`` for each job, in order, the jobs running on the pool.
 
-    At most ``ahead`` jobs (at least one) are submitted beyond the one whose
-    result the caller holds, so finished results never pile up. A job's
+    The next job runs while the caller holds the current result, and no
+    job beyond it is submitted, so finished results never pile up. A job's
     error is raised when its turn comes, before the next job is submitted.
-    If the caller stops early, the jobs not yet started are cancelled and
-    the running ones waited for; their results and errors are dropped.
+    If the caller stops early, the job not yet started is cancelled and the
+    running one waited for; its result or error is dropped.
     """
-    pool, pending = _pool(_query_workers()), collections.deque()
+    pool, pending = _pool(), []
     try:
         for job in jobs:
-            if len(pending) == ahead:
-                pending[0].result()  # wait for the oldest job; its error is raised here
+            if pending:
+                pending[0].result()  # wait for the current job; its error is raised here
             pending.append(pool.submit(fn, *job))
-            if len(pending) > ahead:
-                yield pending.popleft().result()  # the frame keeps no reference to it
-        while pending:
-            yield pending.popleft().result()
+            if len(pending) == 2:
+                yield pending.pop(0).result()  # the frame keeps no reference to it
+        if pending:
+            yield pending.pop().result()
     finally:
         for future in pending:
             if not future.cancel():
@@ -235,10 +233,10 @@ def eps_graph(cloud: PointCloud, epsilon: float) -> EpsGraph:
     """Build the neighbour graph of ``cloud`` with hop lengths strictly below ``epsilon``.
 
     The pairs come from :func:`_sweep_ranges` and are measured a chunk at a
-    time. A graph whose candidate count exceeds the edge budget is counted
-    exactly with the KD-tree before it is built, and refused if its pairs
-    within ``epsilon`` still exceed the budget. An ``epsilon`` above
-    ``_MAX_EPSILON`` is refused.
+    time in this thread. A graph whose candidate count exceeds the edge
+    budget is counted exactly with the KD-tree before it is built, and
+    refused if its pairs within ``epsilon`` still exceed the budget. An
+    ``epsilon`` above ``_MAX_EPSILON`` is refused.
     """
     if not epsilon > 0:  # NaN too: every pair would be a candidate
         raise ValueError("epsilon must be positive")
@@ -358,11 +356,11 @@ def _sweep_csr(points: np.ndarray, epsilon: float, starts, lengths) -> csr_matri
     """Upper-triangle CSR graph of the candidates whose computed length is below ``epsilon``.
 
     ``points`` are in the sweep's order. Candidates are measured a chunk of
-    whole rows at a time by :func:`_measure_rows`, the chunks on the worker
-    pool (see :func:`_ordered_map`). They arrive by row with increasing
-    columns, and this thread writes each chunk's kept edges into the CSR
-    arrays in row order, so the arrays do not depend on the chunk size or
-    the worker count.
+    whole rows at a time, in this thread, each hop as ``sqrt(einsum(d, d))``
+    over its own ``d = p_row - p_col``, so its float does not depend on the
+    other candidates of the chunk. They arrive by row with increasing
+    columns, and each chunk's kept edges are written into the CSR arrays in
+    row order, so the arrays do not depend on the chunk size.
     """
     n = len(points)
     per_row = lengths.sum(axis=1)
@@ -374,52 +372,30 @@ def _sweep_csr(points: np.ndarray, epsilon: float, starts, lengths) -> csr_matri
     # kept edges fill are ever written, so only they take memory
     room = int(min(cum[-1], _MAX_EDGES))
     indices, data = np.empty(room, dtype=index), np.empty(room)
-    measure = functools.partial(_measure_rows, points, epsilon, starts, lengths, per_row, cum)
-    chunks = list(_row_chunks(cum))
-    measured = _ordered_map(measure, chunks, 2 * _query_workers() - 1)
-    for (r0, r1), (col, w, row_ends) in zip(chunks, measured):
-        indptr[r0 + 1:r1 + 1] = indptr[r0] + row_ends
+    r0 = 0
+    while r0 < n:
+        r1 = max(r0 + 1, int(np.searchsorted(cum, cum[r0] + _SWEEP_CHUNK, "right")) - 1)
+        ln = lengths[r0:r1].ravel()
+        first = np.cumsum(ln) - ln
+        col = np.arange(first[-1] + ln[-1]) + np.repeat(starts[r0:r1].ravel() - first, ln)
+        d = np.repeat(points[r0:r1], per_row[r0:r1], axis=0)
+        d -= np.take(points, col, axis=0)
+        w = np.einsum("ij,ij->i", d, d)
+        np.sqrt(w, out=w)
+        keep = np.flatnonzero(w < epsilon)
+        # kept candidates before the end of each row
+        indptr[r0 + 1:r1 + 1] = indptr[r0] + np.searchsorted(keep, cum[r0 + 1:r1 + 1] - cum[r0])
         if indptr[r1] > len(data):
             indices.resize(2 * indptr[r1], refcheck=False)
             data.resize(2 * indptr[r1], refcheck=False)
-        indices[indptr[r0]:indptr[r1]] = col
-        data[indptr[r0]:indptr[r1]] = w
+        indices[indptr[r0]:indptr[r1]] = col[keep]
+        data[indptr[r0]:indptr[r1]] = w[keep]
+        r0 = r1
     indices.resize(indptr[-1], refcheck=False)  # shrinks in place, without a copy
     data.resize(indptr[-1], refcheck=False)
     adjacency = csr_matrix((data, indices, indptr.astype(index)), shape=(n, n))
     adjacency.has_sorted_indices = True
     return adjacency
-
-
-def _row_chunks(cum: np.ndarray):
-    """Runs ``(r0, r1)`` of whole rows holding about ``_SWEEP_CHUNK`` candidates each.
-
-    ``cum[r]`` counts the candidates of the rows before ``r``; a run holds
-    at least one row.
-    """
-    r0, n = 0, len(cum) - 1
-    while r0 < n:
-        r1 = max(r0 + 1, int(np.searchsorted(cum, cum[r0] + _SWEEP_CHUNK, "right")) - 1)
-        yield r0, r1
-        r0 = r1
-
-
-def _measure_rows(points, epsilon, starts, lengths, per_row, cum, r0, r1):
-    """The kept candidates of rows ``r0 .. r1 - 1``: columns, hops and each row's end.
-
-    Each hop is ``sqrt(einsum(d, d))`` over its own ``d = p_row - p_col``,
-    so its float does not depend on the other candidates of the chunk.
-    """
-    ln = lengths[r0:r1].ravel()
-    first = np.cumsum(ln) - ln
-    col = np.arange(first[-1] + ln[-1]) + np.repeat(starts[r0:r1].ravel() - first, ln)
-    d = np.repeat(points[r0:r1], per_row[r0:r1], axis=0)
-    d -= np.take(points, col, axis=0)
-    w = np.einsum("ij,ij->i", d, d)
-    np.sqrt(w, out=w)
-    keep = np.flatnonzero(w < epsilon)
-    # kept candidates before the end of each row
-    return col[keep], w[keep], np.searchsorted(keep, cum[r0 + 1:r1 + 1] - cum[r0])
 
 
 def nearest_samples(samples: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -554,20 +530,25 @@ def chain_profiles(
     Dijkstra pass from the distinct sources, so the profiles equal separate
     :func:`chain_profile` calls bit for bit.
 
-    Scale ``k + 1`` is refined on the worker pool while scale ``k``'s graph
-    is built and searched in this thread (see :func:`_ordered_map`). Errors
-    keep their serial order: a refinement's error is raised when its scale
-    is reached, and an error at scale ``k`` cancels or waits out the
-    pending refinement first.
+    Scale ``k + 1`` is refined on the pool's one worker thread while scale
+    ``k``'s graph is built and searched in this thread (see
+    :func:`_ordered_map`). Errors keep their serial order: a refinement's
+    error is raised when its scale is reached, and an error at scale ``k``
+    cancels or waits out the pending refinement first. A schedule whose
+    finest pitch underflows to 0 could never finish, and is refused before
+    anything is refined.
     """
     if not (0 < eps0 < math.inf) or k_max < 0:
         raise ValueError("need a finite eps0 > 0 and k_max >= 0")
+    if not eps0 * 0.5 ** k_max / 10 > 0:  # the finest pitch, as the schedule computes it
+        raise ValueError(f"the finest pitch of eps0={eps0:g} with k_max={k_max} underflows to 0; "
+                         "use a larger eps0 or a smaller k_max")
     ends = np.array([[model.resolve(x), model.resolve(y)] for x, y in pairs], dtype=float)
     ends = ends.reshape(-1, 2, model.dimension)
     epsilons = eps0 * 0.5 ** np.arange(k_max + 1)
     pitches = epsilons / 10
     values = np.empty((len(ends), k_max + 1))
-    refined = _ordered_map(_refine, [(model, float(delta)) for delta in pitches], 1)
+    refined = _ordered_map(_refine, [(model, float(delta)) for delta in pitches])
     with contextlib.closing(refined):
         for k, eps in enumerate(epsilons):
             # next(), not zip(): zip's reused result tuple would keep the cloud alive

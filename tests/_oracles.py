@@ -497,9 +497,9 @@ def load_model_per_line(path: str):
     if point_blocks and pieces:
         raise ValueError(f"{path}: mixed polyline and points sections are not supported")
     if point_blocks:
-        pitch = _number(meta.get("pitch", "0"), f"{path}: meta pitch") or None
-        if pitch is None:
+        if "pitch" not in meta:
             raise ValueError(f"{path}: point files need a 'meta pitch' record")
+        pitch = _number(meta["pitch"], pitch_where)
         at(pitch_where, positive_pitch, pitch)
         return at(path, PointCloud, at(dim_where, np.vstack, point_blocks), pitch)
     if not pieces:

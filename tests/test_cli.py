@@ -648,3 +648,48 @@ def test_overflowing_coordinates_print_no_numpy_warning(tmp_path, halves_ifs, ca
         else:
             assert err == "", (argv, err)
     assert not any((tmp_path / name).exists() for name in ("seg.cert", "apart.cert", "far.cert"))
+
+
+@pytest.mark.parametrize("pitch, message", [
+    ("0", "pitch must be positive"), ("-1", "pitch must be positive"), ("abc", "'abc' is not a valid float"),
+], ids=["zero", "negative", "word"])
+def test_a_bad_meta_pitch_names_its_record(tmp_path, capfd, pitch, message):
+    cloud = tmp_path / "cloud.model"
+    cloud.write_text(f"dim 2\n# the pitch record is on line 3\nmeta pitch {pitch}\npoints c 1\n0 0\n")
+    rc = run("plot", str(cloud), "--out", str(tmp_path / "cloud.svg"))
+    assert (rc, *capfd.readouterr()) == (2, "", f"error: {cloud}:3: {message}\n")
+    assert not (tmp_path / "cloud.svg").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["attractor", "{ifs}", "--box", "0,0,a,1"], "--box needs comma-separated numbers, not 0,0,a,1"),
+    (["chain", "{line}", "0,x", "p1"], "src needs comma-separated numbers, not 0,x"),
+    (["chain", "{line}", "p0", "1,,0"], "dst needs comma-separated numbers, not 1,,0"),
+], ids=["box", "src", "dst"])
+def test_an_unparsed_number_names_its_argument(tmp_path, halves_ifs, capfd, argv, message):
+    line = str(tmp_path / "l1.model")
+    assert run("build", "zigzag", "--n", "1", "--out", line, "--quiet") == 0
+    out = str(tmp_path / "out.model")
+    rc = run(*[a.format(ifs=halves_ifs, line=line) for a in argv], "--out", out)
+    assert (rc, *capfd.readouterr()) == (2, "", f"error: {message}\n")
+    assert not os.path.exists(out)
+
+
+def test_a_schedule_whose_finest_pitch_underflows_is_refused(tmp_path, capfd):
+    line = str(tmp_path / "l1.model")
+    assert run("build", "zigzag", "--n", "1", "--out", line, "--quiet") == 0
+    out = tmp_path / "profile.csv"
+    rc = run("chain", line, "p0", "p1", "--eps0", "1e-300", "--kmax", "100", "--out", str(out))
+    message = "the finest pitch of eps0=1e-300 with k_max=100 underflows to 0; use a larger eps0 or a smaller k_max"
+    assert (rc, *capfd.readouterr()) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_needle_dichotomy_refuses_a_system_of_several_maps(tmp_path, halves_ifs, capfd):
+    needle = str(tmp_path / "needle.model")
+    assert run("build", "needle", "--delta", "1e-2", "--out", needle, "--quiet") == 0
+    out = tmp_path / "halves.cert"
+    rc = run("certify", "needle-dichotomy", "--ifs", halves_ifs, "--model", needle, "--out", str(out))
+    message = f"{halves_ifs}: needle-dichotomy certifies one map, and this system has 2"
+    assert (rc, *capfd.readouterr()) == (2, "", f"error: {message}\n")
+    assert not out.exists()

@@ -196,44 +196,35 @@ def _assert_same_csr(got, want):
 
 
 def _one_chunk_csr(monkeypatch, points, epsilon):
-    """The sweep of ``points`` in one chunk, on one worker."""
+    """The sweep of ``points`` in one chunk."""
     order, starts, lengths = metric._sweep_ranges(points, epsilon)
     with monkeypatch.context() as patch:
         patch.setattr(metric, "_SWEEP_CHUNK", 1 << 62)
-        patch.setattr(metric, "_query_workers", lambda: 1)
         return metric._sweep_csr(points[order], epsilon, starts, lengths)
 
 
 @functools.cache
-def _stitch_case():
-    """A random cloud with a duplicate point (a zero-length hop), its epsilon and its oracle."""
+def _stitch_case(dim):
+    """A random cloud with a duplicate point (a zero-length hop), its epsilon and its oracle.
+
+    The sweep cuts ``dim - 1`` axes (at most 2), so a row of candidates has
+    1, 2 or 5 ranges.
+    """
     rng = np.random.default_rng(20261020)
-    points = rng.uniform(size=(400, 2))
+    points = rng.uniform(size=(400, dim))
     points = np.vstack([points, points[:1]])
-    return points, 0.2, _graph_oracle(points, 0.2)
+    epsilon = 0.3 if dim == 3 else 0.2
+    return points, epsilon, _graph_oracle(points, epsilon)
 
 
-@pytest.fixture
-def fast_switching():
-    """Switch threads every microsecond, so that workers interleave as often as they can."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
-def test_sweep_chunks_stitch_bit_for_bit(monkeypatch, fast_switching, chunk, workers):
-    # three workers are more threads than a two-core machine has cores
-    points, epsilon, oracle = _stitch_case()
+def test_sweep_chunks_stitch_bit_for_bit(monkeypatch, chunk, dim):
+    points, epsilon, oracle = _stitch_case(dim)
     want = _one_chunk_csr(monkeypatch, points, epsilon)
     order, starts, lengths = metric._sweep_ranges(points, epsilon)
     assert lengths.sum() > 3 * 4096  # even the largest chunk cuts the sweep several times
     monkeypatch.setattr(metric, "_SWEEP_CHUNK", chunk)
-    monkeypatch.setattr(metric, "_query_workers", lambda: workers)
     _assert_same_csr(metric._sweep_csr(points[order], epsilon, starts, lengths), want)
     graph = eps_graph(PointCloud(points, 0.01), epsilon)
     _assert_same_csr(graph.matrix(), want)
@@ -249,9 +240,8 @@ def test_sweep_buffers_grow_past_the_budget(monkeypatch):
     monkeypatch.setattr(metric, "_MAX_EDGES", 1)
     order, starts, lengths = metric._sweep_ranges(cloud.points, epsilon)
     # one chunk, then many: the buffers grow while chunks are stitched
-    for chunk, workers in [(1 << 62, 1), (7, 1), (7, 2), (7, 3)]:
+    for chunk in [1 << 62, 7]:
         monkeypatch.setattr(metric, "_SWEEP_CHUNK", chunk)
-        monkeypatch.setattr(metric, "_query_workers", lambda: workers)
         got = metric._sweep_csr(cloud.points[order], epsilon, starts, lengths)
         assert got.nnz == exact
         _assert_same_csr(got, want)
@@ -381,10 +371,10 @@ _CRITERION_2_VALUES = [
 
 
 class _RecordingPool:
-    """A thread pool that keeps every future it hands out."""
+    """A one-thread pool, as the module's, that keeps every future it hands out."""
 
-    def __init__(self, workers):
-        self.pool = ThreadPoolExecutor(workers)
+    def __init__(self):
+        self.pool = ThreadPoolExecutor(1)
         self.futures = []
 
     def submit(self, fn, *args):
@@ -394,27 +384,27 @@ class _RecordingPool:
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Route the pool work through a :class:`_RecordingPool` of two workers."""
-    pool = _RecordingPool(2)
-    monkeypatch.setattr(metric, "_pool", lambda workers: pool)
+    """Route the pool work through a :class:`_RecordingPool`."""
+    pool = _RecordingPool()
+    monkeypatch.setattr(metric, "_pool", lambda: pool)
     yield pool
     pool.pool.shutdown(wait=True)
 
 
-@pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
-def workers(request, monkeypatch, recording_pool):
-    """Run with one CPU or two; both run their jobs on the pool."""
-    monkeypatch.setattr(metric, "_query_workers", lambda: request.param)
-    yield request.param
-    assert recording_pool.futures
+def test_eps_graph_submits_no_pool_job(monkeypatch, recording_pool):
+    points, epsilon, _ = _stitch_case(2)
+    monkeypatch.setattr(metric, "_SWEEP_CHUNK", 7)  # many chunks, all measured in this thread
+    want = _one_chunk_csr(monkeypatch, points, epsilon)
+    _assert_same_csr(eps_graph(PointCloud(points, 0.01), epsilon).matrix(), want)
+    assert recording_pool.futures == []
 
 
-@pytest.mark.parametrize("ahead", [1, 2, 3])
-def test_ordered_map_yields_in_order_from_a_bounded_window(monkeypatch, recording_pool, ahead):
-    delays = np.random.default_rng(ahead).uniform(0, 0.01, size=12)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ordered_map_yields_in_order_from_a_bounded_window(monkeypatch, recording_pool, seed):
+    delays = np.random.default_rng(seed).uniform(0, 0.01, size=12)
 
     def job(k):
-        time.sleep(delays[k])  # a later job often finishes first
+        time.sleep(delays[k])  # jobs of uneven length
         return k
 
     got, window = [], []
@@ -427,10 +417,10 @@ def test_ordered_map_yields_in_order_from_a_bounded_window(monkeypatch, recordin
         return future
 
     monkeypatch.setattr(recording_pool, "submit", counting_submit)
-    for value in metric._ordered_map(job, [(k,) for k in range(12)], ahead):
+    for value in metric._ordered_map(job, [(k,) for k in range(12)]):
         got.append(value)
     assert got == list(range(12))
-    assert max(window) == ahead + 1  # the window fills, and never overflows
+    assert max(window) == 2  # one job ahead of the result the caller holds, never more
 
 
 def test_closing_an_ordered_map_early_settles_every_job(recording_pool):
@@ -438,28 +428,28 @@ def test_closing_an_ordered_map_early_settles_every_job(recording_pool):
         time.sleep(0.05)
         return k
 
-    jobs = metric._ordered_map(job, [(k,) for k in range(10)], 3)
+    jobs = metric._ordered_map(job, [(k,) for k in range(10)])
     assert next(jobs) == 0
     jobs.close()
-    assert len(recording_pool.futures) == 4
+    assert len(recording_pool.futures) == 2
     assert all(f.done() for f in recording_pool.futures)
 
 
 def test_an_ordered_map_raises_a_job_error_at_its_turn(recording_pool):
     def job(k):
-        if k == 0:
-            time.sleep(0.1)  # job 2 fails on the other worker meanwhile
+        if k == 1:
+            time.sleep(0.1)  # the caller waits for job 1 before job 2 is submitted
         if k == 2:
             raise ValueError("job 2 failed")
         return k
 
     got = []
     with pytest.raises(ValueError, match="job 2 failed"):
-        for value in metric._ordered_map(job, [(k,) for k in range(8)], 3):
+        for value in metric._ordered_map(job, [(k,) for k in range(8)]):
             got.append(value)
     assert got == [0, 1]
-    # jobs 3 and 4 were submitted while 0 and 1 were taken, and none after the error
-    assert len(recording_pool.futures) == 5
+    # job 2 was submitted while job 1 was taken, and none after the error
+    assert len(recording_pool.futures) == 3
     assert all(f.done() for f in recording_pool.futures)
 
 
@@ -467,9 +457,10 @@ def test_an_ordered_map_raises_a_job_error_at_its_turn(recording_pool):
     (build_needle, [("far", "h(p)"), ("h(p)", "far")], 0.1, 4),
     (lambda: build_P(3), [("p1", "p2"), ("p0", "p3")], 0.1, 2),
 ], ids=["needle", "P3"])
-def test_prefetched_profiles_match_the_kdtree_reference(workers, build, pairs, eps0, k_max):
+def test_prefetched_profiles_match_the_kdtree_reference(recording_pool, build, pairs, eps0, k_max):
     got = np.array([p.values for p in chain_profiles(build(), pairs, eps0, k_max)])
     assert np.array_equal(got, chain_profiles_reference(build(), pairs, eps0, k_max))
+    assert recording_pool.futures
 
 
 def _fragile_model(finest: float, calls: list, failing: threading.Event) -> ContinuumModel:
@@ -487,7 +478,7 @@ def _fragile_model(finest: float, calls: list, failing: threading.Event) -> Cont
     return dataclasses.replace(model, sampler=sampler)
 
 
-def test_a_refinement_error_surfaces_at_its_own_scale(monkeypatch, workers, recording_pool):
+def test_a_refinement_error_surfaces_at_its_own_scale(monkeypatch, recording_pool):
     built = []
     monkeypatch.setattr(metric, "eps_graph", lambda cloud, eps: built.append(eps) or eps_graph(cloud, eps))
     calls = []
@@ -496,10 +487,11 @@ def test_a_refinement_error_surfaces_at_its_own_scale(monkeypatch, workers, reco
         chain_profiles(_fragile_model(0.008, calls, threading.Event()), [("a", "b")], 0.4, 4)
     assert built == [0.4, 0.2, 0.1]
     assert calls == [0.04, 0.02, 0.01, 0.005]
+    assert recording_pool.futures
     assert all(f.done() for f in recording_pool.futures)
 
 
-def test_a_refused_graph_wins_over_a_later_refinement_error(monkeypatch, workers, recording_pool):
+def test_a_refused_graph_wins_over_a_later_refinement_error(monkeypatch, recording_pool):
     monkeypatch.setattr(metric, "_MAX_EDGES", 1)
     calls, failing = [], threading.Event()
 
@@ -512,6 +504,7 @@ def test_a_refused_graph_wins_over_a_later_refinement_error(monkeypatch, workers
     with pytest.raises(ValueError, match="epsilon graph would have about"):
         chain_profiles(_fragile_model(0.03, calls, failing), [("a", "b")], 0.4, 4)
     assert calls == [0.04, 0.02]
+    assert recording_pool.futures
     assert all(f.done() for f in recording_pool.futures)
 
 
@@ -519,7 +512,6 @@ _FORK_AFTER_THE_POOL = """
 import os, signal, sys
 from ifscert import metric
 from ifscert.continua import build_needle
-metric._query_workers = lambda: 2
 want = metric.chain_profile(build_needle(), "far", "h(p)", 0.1, 1).values
 pid = os.fork()
 if pid == 0:  # the child has no pool threads: it must make its own
@@ -551,6 +543,25 @@ def test_chain_profiles_reject_bad_schedules(kwargs):
     args = {"eps0": 0.02, "k_max": 2, **kwargs}
     with pytest.raises(ValueError, match="eps0"):
         chain_profiles(_segment_model(), [("a", "b")], **args)
+
+
+@pytest.mark.parametrize(("eps0", "k_max", "finest"), [
+    (0.1, 1069, None), (1e-300, 100, None), (0.1, 1068, 5e-324),
+])
+def test_chain_profiles_refuse_a_finest_pitch_that_underflows(eps0, k_max, finest):
+    calls = []
+
+    def sampler(delta):
+        calls.append(delta)
+        raise ValueError(f"sampled at pitch {delta:g}")
+
+    model = dataclasses.replace(_segment_model(), sampler=sampler)
+    message = "underflows to 0" if finest is None else "sampled at pitch"
+    with pytest.raises(ValueError, match=message):
+        chain_profiles(model, [("a", "b")], eps0, k_max)
+    # refused before any refinement; a subnormal finest pitch still gets the schedule
+    assert calls == ([] if finest is None else [eps0 / 10])
+    assert eps0 * 0.5 ** k_max / 10 == (finest or 0.0)
 
 
 def test_chain_profile_disconnected_is_inconclusive():

@@ -15,10 +15,13 @@ the refusals, each of which must exit 2, of
 numbers past the float range that the README names (a set-map image
 among them), of needle pitches too fine, of files that break a function
 system's or a polyline's rules, of a zigzag union whose ``meta n_max`` is
-not a number, of points outside a squeeze's box and of flags a command
+not a number, of points outside a squeeze's box, of flags a command
 does not read (a prefix of another flag, ``--seed`` off
-``needle-dichotomy``, ``--map-index`` and ``--pitch-ratio``), after the
-builds they read, with one squeeze composition on the needle that stays
+``needle-dichotomy``, ``--map-index`` and ``--pitch-ratio``), of point
+files whose ``meta pitch`` is 0 or not a number, of ``--box`` and point
+arguments that do not parse, of a chain schedule whose finest pitch
+underflows to 0 and of a needle dichotomy on a system of two maps, after
+the builds they read, with one squeeze composition on the needle that stays
 inside its box (exit 1, inconclusive). Each is ``python -m ifscert.cli``
 in a fresh process. This script writes the function-system and model
 files the runs read.
@@ -104,6 +107,9 @@ REFUSAL_FILES = {
     "squeeze.ifs": "dim 2\nmode weak\nneedle_h1 100 attested\n",
     "long.model": "dim 2\npolyline a 2\n0 0\n2 0\n",
     "needle_h.ifs": "dim 2\nmode weak\nbegin\nneedle_h1 100\nneedle_h2\nend attested\n",
+    # point files whose pitch record is there but not a positive number
+    "pitch0.model": "dim 2\nmeta pitch 0\npoints c 1\n0 0\n",
+    "pitch_word.model": "dim 2\nmeta pitch abc\npoints c 1\n0 0\n",
 }
 REFUSAL_RUNS = [(shlex.split(command), None) for command in [
     "build zigzag --n 1 --out l1.model",
@@ -134,6 +140,13 @@ REFUSAL_RUNS = [(shlex.split(command), None) for command in [
     "certify p-coverage --ifs const.ifs --model P.model --seed 7 --out seed.cert",
     "certify needle-dichotomy --ifs needle_h.ifs --model needle.model --map-index 0 --out map.cert",
     "chain l1.model p0 p1 --eps0 1e-3 --kmax 0 --pitch-ratio 10",
+    "plot pitch0.model --out pitch0.svg",
+    "plot pitch_word.model --out pitch_word.svg",
+    "attractor halves.ifs --box 0,0,a,1 --out box.model",
+    "chain l1.model 0,x p1",
+    # the finest pitch, 1e-300 * 2**-100 / 10, is 0: refused before any refinement
+    "chain l1.model p0 p1 --eps0 1e-300 --kmax 100",
+    "certify needle-dichotomy --ifs halves.ifs --model needle.model --out halves.cert",
 ]]
 
 
