@@ -391,6 +391,17 @@ def recording_pool(monkeypatch):
     pool.pool.shutdown(wait=True)
 
 
+@pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
+def workers(request, monkeypatch, recording_pool):
+    """Report one CPU or two: a profile and its errors may not depend on the count.
+
+    The look-ahead refinement runs on the one pool thread either way.
+    """
+    monkeypatch.setattr(metric, "_query_workers", lambda: request.param)
+    yield request.param
+    assert recording_pool.futures
+
+
 def test_eps_graph_submits_no_pool_job(monkeypatch, recording_pool):
     points, epsilon, _ = _stitch_case(2)
     monkeypatch.setattr(metric, "_SWEEP_CHUNK", 7)  # many chunks, all measured in this thread
@@ -457,7 +468,7 @@ def test_an_ordered_map_raises_a_job_error_at_its_turn(recording_pool):
     (build_needle, [("far", "h(p)"), ("h(p)", "far")], 0.1, 4),
     (lambda: build_P(3), [("p1", "p2"), ("p0", "p3")], 0.1, 2),
 ], ids=["needle", "P3"])
-def test_prefetched_profiles_match_the_kdtree_reference(recording_pool, build, pairs, eps0, k_max):
+def test_prefetched_profiles_match_the_kdtree_reference(workers, recording_pool, build, pairs, eps0, k_max):
     got = np.array([p.values for p in chain_profiles(build(), pairs, eps0, k_max)])
     assert np.array_equal(got, chain_profiles_reference(build(), pairs, eps0, k_max))
     assert recording_pool.futures
@@ -478,7 +489,7 @@ def _fragile_model(finest: float, calls: list, failing: threading.Event) -> Cont
     return dataclasses.replace(model, sampler=sampler)
 
 
-def test_a_refinement_error_surfaces_at_its_own_scale(monkeypatch, recording_pool):
+def test_a_refinement_error_surfaces_at_its_own_scale(monkeypatch, workers, recording_pool):
     built = []
     monkeypatch.setattr(metric, "eps_graph", lambda cloud, eps: built.append(eps) or eps_graph(cloud, eps))
     calls = []
@@ -491,7 +502,7 @@ def test_a_refinement_error_surfaces_at_its_own_scale(monkeypatch, recording_poo
     assert all(f.done() for f in recording_pool.futures)
 
 
-def test_a_refused_graph_wins_over_a_later_refinement_error(monkeypatch, recording_pool):
+def test_a_refused_graph_wins_over_a_later_refinement_error(monkeypatch, workers, recording_pool):
     monkeypatch.setattr(metric, "_MAX_EDGES", 1)
     calls, failing = [], threading.Event()
 
