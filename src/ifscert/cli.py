@@ -202,11 +202,11 @@ def _cmd_plot(args) -> int:
         lines = itertools.chain([first], fh)
         if first.strip() == ",".join(formats.PROFILE_HEADER):
             eps, _, vals = formats.load_profile_csv(args.input, lines)
-            text = svg.profile_svg(eps, vals, title=args.title)
+            pieces = (svg.profile_svg(eps, vals, title=args.title),)
         else:
-            text = svg.model_svg(formats.load_model(args.input, lines))
+            pieces = svg.model_pieces(formats.load_model(args.input, lines))
     out = args.out or args.input + ".svg"
-    formats.atomic_write(out, text)
+    formats._write_pieces(out, pieces)  # a cloud's document is streamed, a block at a time
     _say(args, f"wrote {out}")
     return EXIT_OK
 

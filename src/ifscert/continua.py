@@ -104,36 +104,8 @@ def _needle_zone_points(delta: float) -> np.ndarray:
     which keeps every hop well under the shortcut scale without spending
     points on folds that chains with hops below that scale skip across anyway.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    x_full = min(0.25, math.sqrt(SHORTCUT_PITCHES * delta / (4 * math.pi)))
-    x_dense = min(math.sqrt(delta / (2 * math.pi)), x_full)
-    if x_dense == 0.0:  # delta / (2 pi) underflowed
-        raise ValueError("needle refinement too fine; raise delta")
-    x_tip = min(min(delta / 4, 0.5) ** 2, x_dense)  # x_dense <= 0.25: the cap only stops overflow
-
-    # largest zero crossing at or below x_full; the arc-true zone starts there
-    k_lo = max(1, math.ceil(1.0 / (math.pi * x_full)))
-    x_start = 1.0 / (math.pi * k_lo)
-    k_hi = max(k_lo, math.floor(1.0 / (math.pi * max(x_dense, x_tip))))
-
-    # bound the points of every part before any is built, in floats so that
-    # no count overflows, and stop as soon as the total passes the cap: the
-    # tip, the grid and the folds, then the dyadic speed bands. Band
-    # (lo, hi) is resampled from m + 1 points at speed at most vmax, so its
-    # arc is at most (hi - lo) vmax = 0.2 delta m, and at pitch 0.8 delta it
-    # keeps at most m / 4 + 2 points
-    total = 1.0 + 2 * x_tip / delta + 2 * max(0.0, x_dense - x_tip) / delta + (k_hi - k_lo)
-    bands = []
-    lo = x_start
-    while lo < 1.0 and total <= _MAX_SAMPLE_POINTS:
-        hi = min(1.0, 2 * lo)
-        vmax = 1.0 + needle_wave_slope_bound(lo)
-        m = (hi - lo) * vmax / (0.2 * delta)
-        bands.append((lo, hi, m))
-        total += m / 4 + 2
-        lo = hi
-    if total > _MAX_SAMPLE_POINTS or any(math.ceil(m) + 1 > _MAX_SAMPLE_POINTS for _, _, m in bands):
+    x_tip, x_dense, k_lo, k_hi, bands, count = _needle_plan(delta)
+    if count > _MAX_SAMPLE_POINTS:
         raise ValueError("needle refinement too fine; raise delta")
 
     parts = [np.arange(0.0, x_tip, delta / 2)]
@@ -177,9 +149,55 @@ def _needle_zone_points(delta: float) -> np.ndarray:
     return np.column_stack((xs, needle_wave(xs)))
 
 
+def _needle_plan(delta: float):
+    """The parts of :func:`_needle_zone_points` at pitch ``delta``, planned without a sample.
+
+    Returns ``(x_tip, x_dense, k_lo, k_hi, bands, count)``. ``count`` bounds
+    the points of every part and the largest array a band is resampled
+    from; the sampler refuses ``delta`` when it passes the sample cap. It is
+    kept in floats, so that no count overflows, and it is inf where
+    ``delta / (2 pi)`` underflows.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    x_full = min(0.25, math.sqrt(SHORTCUT_PITCHES * delta / (4 * math.pi)))
+    x_dense = min(math.sqrt(delta / (2 * math.pi)), x_full)
+    if x_dense == 0.0:  # delta / (2 pi) underflowed
+        return 0.0, 0.0, 1, 1, [], math.inf
+    x_tip = min(min(delta / 4, 0.5) ** 2, x_dense)  # x_dense <= 0.25: the cap only stops overflow
+
+    # largest zero crossing at or below x_full; the arc-true zone starts there
+    k_lo = max(1, math.ceil(1.0 / (math.pi * x_full)))
+    x_start = 1.0 / (math.pi * k_lo)
+    k_hi = max(k_lo, math.floor(1.0 / (math.pi * max(x_dense, x_tip))))
+
+    # the tip, the grid and the folds, then the dyadic speed bands, stopping
+    # as soon as the total passes the cap. Band (lo, hi) is resampled from
+    # m + 1 points at speed at most vmax, so its arc is at most
+    # (hi - lo) vmax = 0.2 delta m, and at pitch 0.8 delta it keeps at most
+    # m / 4 + 2 points
+    total = 1.0 + 2 * x_tip / delta + 2 * max(0.0, x_dense - x_tip) / delta + (k_hi - k_lo)
+    bands = []
+    lo = x_start
+    while lo < 1.0 and total <= _MAX_SAMPLE_POINTS:
+        hi = min(1.0, 2 * lo)
+        vmax = 1.0 + needle_wave_slope_bound(lo)
+        m = (hi - lo) * vmax / (0.2 * delta)
+        bands.append((lo, hi, m))
+        total += m / 4 + 2
+        lo = hi
+    # every band's m is finite unless the total has passed the cap
+    count = total if total > _MAX_SAMPLE_POINTS else max([total] + [math.ceil(m) + 1 for _, _, m in bands])
+    return x_tip, x_dense, k_lo, k_hi, bands, count
+
+
 def sample_needle(delta: float) -> PointCloud:
     """On-curve resampler for the default needle, any pitch."""
     return PointCloud(_needle_zone_points(delta), float(delta))
+
+
+# the count the sampler refuses on, for ContinuumModel.sample_bound
+sample_needle.sample_bound = lambda delta: _needle_plan(delta)[-1]
 
 
 def build_needle(delta: float = 1e-3) -> ContinuumModel:

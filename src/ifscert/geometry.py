@@ -147,6 +147,19 @@ class ContinuumModel:
         clouds = [sample_polyline(piece, delta).points for piece in self.pieces]
         return PointCloud(np.vstack(clouds), delta)
 
+    def sample_bound(self, delta: float) -> float:
+        """The count that :meth:`refine` refuses ``delta`` on, found without a sample.
+
+        ``refine(delta)`` is refused for its size exactly when this passes
+        the sample cap: the largest piece's count from
+        :func:`sample_polyline`, or the ``sample_bound`` of the sampler; 0
+        for a sampler that has none.
+        """
+        if self.sampler is not None:
+            bound = getattr(self.sampler, "sample_bound", None)
+            return bound(delta) if bound is not None else 0.0
+        return max(_sample_plan(piece, delta)[-1] for piece in self.pieces)
+
     def resolve(self, target) -> Point:
         """Resolve a marked label or a coordinate sequence to a point."""
         if isinstance(target, str):
@@ -175,12 +188,14 @@ def polyline_length(line: Polyline) -> float:
     return float(np.linalg.norm(b - a, axis=1).sum())
 
 
-def sample_polyline(line: Polyline, delta: float) -> PointCloud:
-    """Sample the polyline so consecutive samples are at most ``delta`` apart.
+def _sample_plan(line: Polyline, delta: float):
+    """The segments of ``line`` and their sample counts at pitch ``delta``, without a sample.
 
-    All vertices are included exactly; points are returned in path order.
-    A segment whose squared length overflows is refused: the distance
-    kernels square their gaps.
+    Returns each segment's start and step, its count as a float, and
+    ``wanted``, the float sum of the counts and the closing vertex, which
+    :func:`sample_polyline` refuses above the sample cap. A segment whose
+    squared length overflows is refused: the distance kernels square their
+    gaps.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -192,12 +207,23 @@ def sample_polyline(line: Polyline, delta: float) -> PointCloud:
         wanted = counts.sum() + (not line.closed)
     if not np.isfinite(lens).all():
         raise ValueError("polyline segment too long: its squared length overflows")
+    return a, seg, counts, float(wanted)
+
+
+def sample_polyline(line: Polyline, delta: float) -> PointCloud:
+    """Sample the polyline so consecutive samples are at most ``delta`` apart.
+
+    All vertices are included exactly; points are returned in path order.
+    A segment whose squared length overflows is refused: the distance
+    kernels square their gaps.
+    """
+    a, seg, counts, wanted = _sample_plan(line, delta)
     if wanted > _MAX_SAMPLE_POINTS:  # so the int64 cast below cannot wrap
         raise ValueError(f"polyline sampling too fine: pitch {delta:.3g} needs {wanted:.3g} points, "
                          f"above {_MAX_SAMPLE_POINTS}")
     counts = counts.astype(np.int64)
     total = int(counts.sum())
-    reps = np.repeat(np.arange(len(lens)), counts)
+    reps = np.repeat(np.arange(len(counts)), counts)
     offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
     frac = offsets / np.repeat(counts, counts)
     pts = a[reps] + seg[reps] * frac[:, None]

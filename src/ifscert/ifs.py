@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from . import continua
 from .geometry import PointCloud
-from .metric import _finite_gap, _nearest_distances, _release_freed_memory
+from .metric import _finite_gap, _nearest_distances, _pass_tree, _release_freed_memory
 
 KIND_AFFINE = "affine"
 KIND_SQUEEZE = "needle_h1"
@@ -426,6 +426,12 @@ def attractor(ifs: IfsSpec, seed_cloud: PointCloud, tol: float = 1e-3,
     carries no convergence guarantee. The final Hausdorff distance to the
     true attractor is at most ``tail_bound = step * factor / (1 - factor)``
     plus the resolution of the final cloud.
+
+    Each step is the Hausdorff distance between successive clouds, as
+    :func:`metric.hausdorff` computes it: two exact passes, each against a
+    ``metric._pass_tree``. One tree is held at a time: the new cloud is
+    measured against the old cloud's tree, which then goes, and the new
+    cloud's tree takes the reverse pass and the next step.
     """
     if ifs.mode != MODE_STRICT:
         raise ValueError("attractor iteration requires strict mode")
@@ -433,18 +439,14 @@ def attractor(ifs: IfsSpec, seed_cloud: PointCloud, tol: float = 1e-3,
         raise ValueError(f"max_iter must be at least 1, not {max_iter}")
     lam = ifs.contraction_factor
     current = seed_cloud
-    # sliding-midpoint trees: each serves two queries, too few to repay median
-    # splits; a cloud's points are frozen, so its tree shares them
-    tree = cKDTree(current.points, balanced_tree=False, copy_data=False)
+    tree = _pass_tree(current.points)
     steps: list[float] = []
     for _ in range(max_iter):
         nxt = hutchinson(ifs, current)
         _release_freed_memory()  # the step's freed temporaries, before the next tree
-        # one tree at a time: the new cloud against the old cloud's tree, which
-        # then goes; the new cloud's tree takes the reverse pass and the next step
         far_new = _nearest_distances(tree, nxt.points).max()
         del tree
-        tree = cKDTree(nxt.points, balanced_tree=False, copy_data=False)
+        tree = _pass_tree(nxt.points)
         step = _finite_gap(far_new, _nearest_distances(tree, current.points).max())
         steps.append(step)
         current = nxt

@@ -23,7 +23,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .geometry import ContinuumModel, PointCloud, as_point
+from .geometry import _MAX_SAMPLE_POINTS, ContinuumModel, PointCloud, as_point
 
 # Hops below three pitches cannot be told apart from sampling noise.
 _MIN_HOP_PITCHES = 3.0
@@ -56,6 +56,15 @@ _M_MMAP_THRESHOLD = -3
 _CAP_STRIDE = 64
 _QUERY_BLOCK = 1 << 16
 
+# Points per leaf of a Hausdorff pass's KD-tree. Over attractor_io's last
+# cloud (826,688 points), scipy's default of 16 makes 156,439 nodes and
+# raises RSS by 26.1 MiB while it builds, more than the set map's gather
+# that precedes it; 64 makes 39,365 and raises it by 12.6 MiB (32: 17.1,
+# 128: 9.3). The passes cost a little more: twelve attractor steps took
+# 1.50 s against 1.42 s with 16 (medians of 10 alternating runs, 2-vCPU
+# x86_64). A pass's distances do not depend on the tree's shape.
+_LEAF = 64
+
 # Verdict thresholds for chain profiles.
 DIVERGENCE_SLOPE = -0.15
 CONVERGENCE_REL_STEP = 0.01
@@ -68,20 +77,30 @@ def hausdorff(a: PointCloud, b: PointCloud, witness: bool = False) -> float | tu
     from the other cloud, and whether it belongs to ``a`` (ties go to
     ``a``). A gap whose square overflows is refused, not read as inf.
 
-    Each pass is :func:`_nearest_distances` against a KD-tree over the other
-    cloud, built for that pass alone: it returns every point's exact
-    distance to the other cloud, the same floats as one unbounded query, so
-    the distance, the side and the witness are too. A cloud's points are
-    frozen, so its tree shares them.
+    Each pass is :func:`_nearest_distances` against a :func:`_pass_tree`
+    over the other cloud, built for that pass alone: it returns every
+    point's exact distance to the other cloud, the same floats as one
+    unbounded query on any tree, so the distance, the side and the witness
+    are too.
     """
-    d_ab = _nearest_distances(cKDTree(b.points, copy_data=False), a.points)
-    d_ba = _nearest_distances(cKDTree(a.points, copy_data=False), b.points)
+    d_ab = _nearest_distances(_pass_tree(b.points), a.points)
+    d_ba = _nearest_distances(_pass_tree(a.points), b.points)
     gap = _finite_gap(d_ab.max(), d_ba.max())
     if not witness:
         return gap
     in_a = bool(d_ab.max() >= d_ba.max())
     far = a.points[int(np.argmax(d_ab))] if in_a else b.points[int(np.argmax(d_ba))]
     return gap, in_a, far
+
+
+def _pass_tree(points: np.ndarray) -> cKDTree:
+    """The KD-tree of one Hausdorff pass over ``points``.
+
+    Sliding-midpoint splits, as a tree that serves a pass or two does not
+    repay median splits, and ``_LEAF`` points a leaf. A cloud's points are
+    frozen, so the tree shares them.
+    """
+    return cKDTree(points, leafsize=_LEAF, balanced_tree=False, copy_data=False)
 
 
 def _finite_gap(far_ab: float, far_ba: float) -> float:
@@ -534,15 +553,23 @@ def chain_profiles(
     ``k``'s graph is built and searched in this thread (see
     :func:`_ordered_map`). Errors keep their serial order: a refinement's
     error is raised when its scale is reached, and an error at scale ``k``
-    cancels or waits out the pending refinement first. A schedule whose
-    finest pitch underflows to 0 could never finish, and is refused before
-    anything is refined.
+    cancels or waits out the pending refinement first. A schedule that could
+    never finish is refused before anything is refined: one whose finest
+    pitch underflows to 0, or one of several scales whose finest refinement
+    the model would refuse for its size (:meth:`ContinuumModel.sample_bound`).
+    A schedule of one scale is refused by that refinement as soon, in the
+    sampler's own words.
     """
     if not (0 < eps0 < math.inf) or k_max < 0:
         raise ValueError("need a finite eps0 > 0 and k_max >= 0")
-    if not eps0 * 0.5 ** k_max / 10 > 0:  # the finest pitch, as the schedule computes it
+    finest = eps0 * 0.5 ** k_max / 10  # the finest pitch, as the schedule computes it
+    if not finest > 0:
         raise ValueError(f"the finest pitch of eps0={eps0:g} with k_max={k_max} underflows to 0; "
                          "use a larger eps0 or a smaller k_max")
+    samples = model.sample_bound(finest) if k_max else 0
+    if samples > _MAX_SAMPLE_POINTS:
+        raise ValueError(f"the finest pitch {finest:g} of eps0={eps0:g} with k_max={k_max} needs "
+                         f"{samples:.3g} samples, above {_MAX_SAMPLE_POINTS}; use a larger eps0 or a smaller k_max")
     ends = np.array([[model.resolve(x), model.resolve(y)] for x, y in pairs], dtype=float)
     ends = ends.reshape(-1, 2, model.dimension)
     epsilons = eps0 * 0.5 ** np.arange(k_max + 1)

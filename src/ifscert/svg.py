@@ -85,21 +85,36 @@ def _marked_elements(marked: dict, frame: _Frame) -> list[str]:
 
 
 def model_svg(model: ContinuumModel | PointCloud) -> str:
-    """Draw a model's polylines (and marked points) or a bare cloud."""
+    """Draw a model's polylines (and marked points) or a bare cloud: the join of :func:`model_pieces`."""
+    return "".join(model_pieces(model))
+
+
+def model_pieces(model: ContinuumModel | PointCloud):
+    """The text of :func:`model_svg` in pieces, for a writer to stream.
+
+    A cloud's dots come one block of 8,192 points at a time, each mapped to
+    the canvas, formatted and dropped before the next, so a writer holds one
+    block of the document; a model's polylines come as one piece. A model
+    that cannot be drawn is refused here, before the first piece.
+    """
     dim = model.points.shape[1] if isinstance(model, PointCloud) else model.dimension
     if dim != 2:
         raise ValueError(f"only 2-D models can be drawn, not dimension {dim}")
     if isinstance(model, PointCloud):
-        frame = _Frame(model.points)
-        pieces = [_HEADER, '<path d="']
-        # each block of 8,192 points is mapped to the canvas, formatted as one piece and dropped
-        step = _numtext._BLOCK_VALUES // 2
-        for lo in range(0, len(model.points), step):
-            (block,) = _numtext.text_chunks("M%.2f,%.2f h0", frame.map(model.points[lo:lo + step]), " ")
-            pieces += (block, " ")
-        pieces[-1] = f'" stroke="{_PALETTE[0]}" stroke-width="3" stroke-linecap="round" fill="none"/>\n</svg>\n'
-        # one join: the dots are the bulk of the document
-        return "".join(pieces)
+        return _cloud_pieces(model.points, _Frame(model.points))
+    return (_lines_svg(model),)
+
+
+def _cloud_pieces(points: np.ndarray, frame: _Frame):
+    yield _HEADER + '<path d="'
+    step = _numtext._BLOCK_VALUES // 2
+    for lo in range(0, len(points), step):
+        (block,) = _numtext.text_chunks("M%.2f,%.2f h0", frame.map(points[lo:lo + step]), " ")
+        yield block if lo == 0 else " " + block
+    yield f'" stroke="{_PALETTE[0]}" stroke-width="3" stroke-linecap="round" fill="none"/>\n</svg>\n'
+
+
+def _lines_svg(model: ContinuumModel) -> str:
     stack = [line.vertices for line in model.pieces]
     if model.marked:
         stack.append(np.vstack(list(model.marked.values())))

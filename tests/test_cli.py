@@ -685,6 +685,19 @@ def test_a_schedule_whose_finest_pitch_underflows_is_refused(tmp_path, capfd):
     assert not out.exists()
 
 
+def test_a_schedule_whose_finest_sampling_passes_the_cap_is_refused_at_once(tmp_path, capfd):
+    # the finest pitch, 2.4e-6, is below the needle sampler's limit near 5.5e-6;
+    # without the count taken first, eleven scales were sampled and searched
+    needle = str(tmp_path / "needle.model")
+    assert run("build", "needle", "--out", needle, "--quiet") == 0
+    out = tmp_path / "profile.csv"
+    rc = run("chain", needle, "far", "h(p)", "--kmax", "12", "--out", str(out))
+    message = ("the finest pitch 2.44141e-06 of eps0=0.1 with k_max=12 needs 2.35e+07 samples, "
+               "above 20000000; use a larger eps0 or a smaller k_max")
+    assert (rc, *capfd.readouterr()) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_needle_dichotomy_refuses_a_system_of_several_maps(tmp_path, halves_ifs, capfd):
     needle = str(tmp_path / "needle.model")
     assert run("build", "needle", "--delta", "1e-2", "--out", needle, "--quiet") == 0

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ifscert import _numtext, formats
+from ifscert import _numtext, cli, formats
 from ifscert.certify import Certificate
 from ifscert.continua import build_P, build_needle
 from ifscert.formats import (
@@ -333,6 +333,21 @@ def test_model_svg_of_a_cloud_holds_its_text_not_a_canvas_array():
     svg, peak = _traced_peak(lambda: model_svg(cloud))
     assert len(svg) > 3 * 2**20
     assert peak < 2.05 * len(svg)
+
+
+def test_plot_of_a_cloud_holds_its_points_not_its_document(tmp_path):
+    # load_model holds the rows plus one chunk (see above) and the document
+    # streams out a block at a time; joining it first held the pieces and
+    # the join, 10.1 MiB in all
+    points = np.random.default_rng(14).uniform(size=(200_000, 2))
+    cloud = PointCloud(points, 1e-3)
+    path, out = str(tmp_path / "cloud.model"), tmp_path / "cloud.svg"
+    save_model(cloud, path)
+    rc, peak = _traced_peak(lambda: cli.main(["plot", path, "--out", str(out), "--quiet"]))
+    assert rc == 0
+    assert out.stat().st_size > 3 * 2**20
+    assert peak < points.nbytes + 2 * 2**20
+    assert out.read_text() == model_svg(cloud)
 
 
 def test_profile_csv_roundtrip_with_infinities(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from ifscert import ifs
+from ifscert import ifs, metric
 from ifscert.continua import build_needle, needle_wave
 from ifscert.geometry import PointCloud
 from ifscert.ifs import (
@@ -332,24 +332,27 @@ def test_attractor_matches_chaos_game():
 
 def test_attractor_holds_one_kdtree_at_a_time_over_its_cloud(monkeypatch):
     # the old cloud's tree is gone before the new cloud's is built, and each
-    # tree shares its cloud's frozen points; the steps stay the Hausdorff
-    # distances between successive clouds
-    trees, live_at_build, shared = [], [], []
+    # tree shares its cloud's frozen points and has the Hausdorff passes'
+    # leaf size; the steps stay the Hausdorff distances between successive clouds
+    trees, live_at_build, shared, leaves = [], [], [], []
 
     class Recording(cKDTree):
         def __init__(self, data, **kwargs):
             live_at_build.append(sum(ref() is not None for ref in trees))
             super().__init__(data, **kwargs)
             shared.append(np.shares_memory(self.data, data))
+            leaves.append(self.leafsize)
             trees.append(weakref.ref(self))
 
-    monkeypatch.setattr(ifs, "cKDTree", Recording)
+    # metric._pass_tree builds the attractor's trees
+    monkeypatch.setattr(metric, "cKDTree", Recording)
     f = _sierpinski()
     seed = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]), 2e-3)
     result = attractor(f, seed, tol=2e-3)
     assert len(trees) == len(result.steps) + 1
     assert live_at_build == [0] * len(trees)
     assert all(shared)
+    assert leaves == [metric._LEAF] * len(trees)
     monkeypatch.undo()
     from ifscert.metric import hausdorff
 

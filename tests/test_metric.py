@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from ifscert import metric
+from ifscert import continua, geometry, metric
 from ifscert.continua import build_P, build_needle
 from ifscert.geometry import ContinuumModel, PointCloud, Polyline, sample_polyline
 from ifscert.metric import (
@@ -50,6 +50,23 @@ def test_hausdorff_matches_double_loop():
     d_ab = max(min(np.linalg.norm(p - q) for q in b.points) for p in a.points)
     d_ba = max(min(np.linalg.norm(p - q) for q in a.points) for p in b.points)
     assert hausdorff(a, b) == pytest.approx(max(d_ab, d_ba), rel=1e-12)
+
+
+def test_hausdorff_passes_share_the_attractors_tree_shape(monkeypatch):
+    # one tree a pass, over the other cloud's frozen points, with the leaf
+    # size and sliding-midpoint splits of the attractor's passes
+    built = []
+
+    class Recording(cKDTree):
+        def __init__(self, data, **kwargs):
+            super().__init__(data, **kwargs)
+            built.append((len(data), self.leafsize, kwargs.get("balanced_tree"), np.shares_memory(self.data, data)))
+
+    monkeypatch.setattr(metric, "cKDTree", Recording)
+    rng = np.random.default_rng(3)
+    a, b = PointCloud(rng.uniform(size=(300, 2)), 0.1), PointCloud(rng.uniform(size=(200, 2)), 0.1)
+    hausdorff(a, b, witness=True)
+    assert built == [(200, metric._LEAF, False, True), (300, metric._LEAF, False, True)]
 
 
 def test_hausdorff_refuses_a_gap_whose_square_overflows():
@@ -573,6 +590,66 @@ def test_chain_profiles_refuse_a_finest_pitch_that_underflows(eps0, k_max, fines
     # refused before any refinement; a subnormal finest pitch still gets the schedule
     assert calls == ([] if finest is None else [eps0 / 10])
     assert eps0 * 0.5 ** k_max / 10 == (finest or 0.0)
+
+
+def _refusing_sampler(calls: list, finest: float):
+    """A sampler that records its calls and bounds a pitch below ``finest`` past the sample cap."""
+    def sampler(delta):
+        calls.append(delta)
+        return _segment_model().refine(delta)
+
+    sampler.sample_bound = lambda delta: 2.0 * geometry._MAX_SAMPLE_POINTS if delta < finest else 2.0
+    return sampler
+
+
+@pytest.mark.parametrize("case", ["sampler", "needle", "polyline"])
+def test_chain_profiles_refuse_a_finest_refinement_past_the_cap_before_refining(monkeypatch, case):
+    calls = []
+
+    def recorder(delta):
+        calls.append(delta)
+        raise AssertionError(f"refined at pitch {delta:g}")
+
+    if case == "sampler":
+        model = dataclasses.replace(_segment_model(), sampler=_refusing_sampler(calls, 1e-4))
+        pairs, eps0, k_max, finest, samples = [("a", "b")], 0.02, 5, 6.25e-05, 4e7
+    elif case == "needle":  # the needle sampler's own bound, through its model
+        model = build_needle()
+        monkeypatch.setattr(continua, "_needle_zone_points", recorder)
+        pairs, eps0, k_max, finest, samples = [("far", "h(p)")], 0.1, 12, 2.44141e-06, 2.35e7
+    else:  # a polyline's count, 1 / pitch + 1
+        model = _segment_model()
+        monkeypatch.setattr(geometry, "sample_polyline", recorder)
+        pairs, eps0, k_max, finest, samples = [("a", "b")], 0.02, 40, 1.81899e-15, 5.5e14
+    message = (f"the finest pitch {finest:g} of eps0={eps0:g} with k_max={k_max} needs {samples:.3g} samples, "
+               f"above {geometry._MAX_SAMPLE_POINTS}; use a larger eps0 or a smaller k_max")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        chain_profiles(model, pairs, eps0, k_max)
+    assert calls == []  # the coarse scales were not refined first
+
+
+def test_a_one_scale_schedule_is_left_to_its_refinement():
+    # nothing is refined before the one scale's refinement, which refuses in its own words
+    calls = []
+    model = dataclasses.replace(_segment_model(), sampler=_refusing_sampler(calls, 1e-4))
+    profile = chain_profile(model, "a", "b", 0.02, 0)
+    assert calls == [0.002] and profile.values.tolist() == [1.0]
+
+
+def test_the_sample_bound_is_the_count_each_sampler_refuses_on():
+    needle, segment = build_needle(), _segment_model()
+    for delta in (1e-2, 1e-4):
+        assert needle.sample_bound(delta) >= len(needle.refine(delta))
+        assert segment.sample_bound(delta) == len(segment.refine(delta))
+    for delta in (5e-6, 1e-14, 1e-300, 5e-324):
+        assert needle.sample_bound(delta) > geometry._MAX_SAMPLE_POINTS
+        with pytest.raises(ValueError, match="^needle refinement too fine; raise delta$"):
+            needle.refine(delta)
+    for delta in (5e-8, 1e-300):
+        assert segment.sample_bound(delta) > geometry._MAX_SAMPLE_POINTS
+        with pytest.raises(ValueError, match="polyline sampling too fine"):
+            segment.refine(delta)
+    assert dataclasses.replace(segment, sampler=segment.refine).sample_bound(1e-300) == 0
 
 
 def test_chain_profile_disconnected_is_inconclusive():

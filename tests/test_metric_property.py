@@ -234,18 +234,19 @@ def _outlier_case(n, at):
 
 
 @PROPERTY
-@given(cloud_pairs(), st.sampled_from([1, 3, 64]), st.booleans(), st.booleans())
-@example((np.zeros((1, 2)), np.ones((1, 2))), 64, True, False)  # one point each
-@example((np.eye(3), np.eye(3)), 64, True, False)  # identical clouds: the cap is 0
-@example(_outlier_case(130, 100), 64, False, False)  # the stride skips the farthest point
-@example(_outlier_case(130, 100), 64, True, True)
-def test_hausdorff_matches_the_reference(clouds, stride, balanced, one_worker):
-    # hausdorff's trees are balanced and the attractor's are not; a pass is exact on either
+@given(cloud_pairs(), st.sampled_from([1, 3, 64]), st.booleans(), st.booleans(), st.sampled_from([1, 16, 64]))
+@example((np.zeros((1, 2)), np.ones((1, 2))), 64, True, False, 64)  # one point each
+@example((np.eye(3), np.eye(3)), 64, True, False, 64)  # identical clouds: the cap is 0
+@example(_outlier_case(130, 100), 64, False, False, 64)  # the stride skips the farthest point
+@example(_outlier_case(130, 100), 64, True, True, 1)
+def test_hausdorff_matches_the_reference(clouds, stride, balanced, one_worker, leaf):
+    # a pass is exact on every tree shape: balanced or sliding-midpoint splits,
+    # and any leaf size, hausdorff's own trees included
     a, b = (PointCloud(c, 1.0) for c in clouds)
     workers = mock.patch.object(metric, "_query_workers", lambda: 1) if one_worker else nullcontext()
-    with mock.patch.object(metric, "_CAP_STRIDE", stride), workers:
-        for tree, pts in ((cKDTree(b.points, balanced_tree=balanced), a.points),
-                          (cKDTree(a.points, balanced_tree=balanced), b.points)):
+    with mock.patch.object(metric, "_CAP_STRIDE", stride), mock.patch.object(metric, "_LEAF", leaf), workers:
+        for tree, pts in ((cKDTree(b.points, leafsize=leaf, balanced_tree=balanced), a.points),
+                          (cKDTree(a.points, leafsize=leaf, balanced_tree=balanced), b.points)):
             assert np.array_equal(metric._nearest_distances(tree, pts), tree.query(pts, workers=1)[0])
         gap = hausdorff(a, b)
         got = hausdorff(a, b, witness=True)
